@@ -100,12 +100,6 @@ def bench_proc_call():
     return _measure(lambda: interp.eval("add 19 23"))
 
 
-def bench_proc_call_bytecode_off():
-    interp = Interp(bytecode_enabled=False)
-    interp.eval("proc add {x y} {expr {$x + $y}}")
-    return _measure(lambda: interp.eval("add 19 23"))
-
-
 def bench_expr_loop():
     """100 iterations of ``while {$i < 100} {incr i}``."""
     interp = Interp()
@@ -119,12 +113,6 @@ def bench_expr_loop_nocompile():
     return _measure(lambda: interp.eval(script))
 
 
-def bench_expr_loop_bytecode_off():
-    interp = Interp(bytecode_enabled=False)
-    script = "set i 0\nwhile {$i < 100} {incr i}"
-    return _measure(lambda: interp.eval(script))
-
-
 _FOREACH_SCRIPT = ("set total 0\n"
                    "foreach x {1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 "
                    "17 18 19 20} {set total [expr {$total + $x}]}")
@@ -133,11 +121,6 @@ _FOREACH_SCRIPT = ("set total 0\n"
 def bench_foreach_list():
     """foreach over a 20-element literal list with an expr body."""
     interp = Interp()
-    return _measure(lambda: interp.eval(_FOREACH_SCRIPT))
-
-
-def bench_foreach_list_bytecode_off():
-    interp = Interp(bytecode_enabled=False)
     return _measure(lambda: interp.eval(_FOREACH_SCRIPT))
 
 
@@ -176,12 +159,9 @@ BENCHMARKS = [
     ("simple_command", bench_simple_command),
     ("simple_command_nocompile", bench_simple_command_nocompile),
     ("proc_call", bench_proc_call),
-    ("proc_call_bytecode_off", bench_proc_call_bytecode_off),
     ("expr_loop", bench_expr_loop),
     ("expr_loop_nocompile", bench_expr_loop_nocompile),
-    ("expr_loop_bytecode_off", bench_expr_loop_bytecode_off),
     ("foreach_list", bench_foreach_list),
-    ("foreach_list_bytecode_off", bench_foreach_list_bytecode_off),
     ("binding_dispatch", bench_binding_dispatch),
     ("button_churn_50", bench_button_churn_50),
 ]
@@ -254,14 +234,6 @@ def main(argv) -> int:
                   / report["expr_loop"]["mean_us"])
     print("compile speedup: simple command %.1fx, expr loop %.1fx"
           % (ratio, loop_ratio))
-    print("bytecode speedup: proc call %.1fx, expr loop %.1fx, "
-          "foreach %.1fx"
-          % (report["proc_call_bytecode_off"]["mean_us"]
-             / report["proc_call"]["mean_us"],
-             report["expr_loop_bytecode_off"]["mean_us"]
-             / report["expr_loop"]["mean_us"],
-             report["foreach_list_bytecode_off"]["mean_us"]
-             / report["foreach_list"]["mean_us"]))
     if checking:
         return check(report)
     with open(BENCH_FILE, "w") as handle:

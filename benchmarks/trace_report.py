@@ -50,11 +50,7 @@ def _traced_replay(journal: Journal, kind: str) -> dict:
 
     def setup(server):
         app = _build_app(server, header.get("name") or "replay",
-                         header.get("script") or "",
-                         flags.get("cache_enabled", True),
-                         flags.get("compile_enabled", True),
-                         flags.get("buffering_enabled", True),
-                         flags.get("bytecode_enabled", True),
+                         header.get("script") or "", flags,
                          transport=kind)
         # Trace from the first replayed input on; spans stay readable
         # after app.destroy() deregisters the tracer.

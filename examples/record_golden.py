@@ -50,7 +50,7 @@ def _center(app, path):
 def build_steps():
     """Probe widget positions on a throwaway app (layout is
     deterministic), then script the input sequence against them."""
-    probe = _build_app(XServer(), "golden", SCRIPT, True, True, True)
+    probe = _build_app(XServer(), "golden", SCRIPT)
     ok = _center(probe, ".form.ok")
     picks = _center(probe, ".form.picks")
     probe.destroy()

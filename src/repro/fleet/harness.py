@@ -198,14 +198,9 @@ class FleetSession:
         elif spec.fault_spec is not None:
             self.plan = self.server.install_fault_plan(
                 FaultPlan.from_spec(spec.fault_spec))
-        flags = spec.flags
         try:
             self.main_app = _build_app(
-                self.server, spec.name, spec.setup_script,
-                flags.get("cache_enabled", True),
-                flags.get("compile_enabled", True),
-                flags.get("buffering_enabled", True),
-                flags.get("bytecode_enabled", True),
+                self.server, spec.name, spec.setup_script, spec.flags,
                 transport=spec.transport)
         except Exception:
             # A fault plan can kill construction; the session then runs
@@ -302,14 +297,10 @@ class FleetSession:
         if kind == "new_app":
             if self.journal is not None:
                 self.journal.input("new_app", tuple(args))
-            flags = self.spec.flags
             try:
                 app = _build_app(server, args[0],
                                  args[1] if len(args) > 1 else "",
-                                 flags.get("cache_enabled", True),
-                                 flags.get("compile_enabled", True),
-                                 flags.get("buffering_enabled", True),
-                                 flags.get("bytecode_enabled", True),
+                                 self.spec.flags,
                                  transport=self.spec.transport)
                 self.apps.append(app)
             except Exception:

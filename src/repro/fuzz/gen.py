@@ -144,8 +144,8 @@ def _flags(rng: random.Random) -> dict:
         flags["compile_enabled"] = False
     if rng.random() < 0.1:
         flags["buffering_enabled"] = False
-    if rng.random() < 0.2:
-        flags["bytecode_enabled"] = False
+    # A removed flag's draw, kept so each seed keeps its scenario.
+    rng.random()
     return flags
 
 

@@ -93,11 +93,7 @@ def run_scenario(scenario: Scenario, stop_on_violation: bool = True,
     try:
         try:
             app = _build_app(server, scenario.name,
-                             scenario.setup_script,
-                             flags.get("cache_enabled", True),
-                             flags.get("compile_enabled", True),
-                             flags.get("buffering_enabled", True),
-                             flags.get("bytecode_enabled", True))
+                             scenario.setup_script, flags)
         except Exception as error:
             app = None
             violations.extend(oracles.classify_swallowed(

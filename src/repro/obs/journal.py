@@ -115,7 +115,6 @@ class Journal:
                    cache_enabled: bool = True,
                    compile_enabled: bool = True,
                    buffering_enabled: bool = True,
-                   bytecode_enabled: bool = True,
                    fault_plan: Optional[dict] = None,
                    planted: Optional[str] = None) -> None:
         """Record session metadata; embedded so journals are
@@ -130,8 +129,7 @@ class Journal:
             "script": script,
             "flags": {"cache_enabled": bool(cache_enabled),
                       "compile_enabled": bool(compile_enabled),
-                      "buffering_enabled": bool(buffering_enabled),
-                      "bytecode_enabled": bool(bytecode_enabled)},
+                      "buffering_enabled": bool(buffering_enabled)},
         }
         if fault_plan is not None:
             self.meta["fault_plan"] = fault_plan

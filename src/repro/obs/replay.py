@@ -68,10 +68,6 @@ MODES: Dict[str, dict] = {
                       "allowed": frozenset()},
     "compile_off":   {"flags": {"compile_enabled": False},
                       "compare": "exact", "allowed": frozenset()},
-    # The bytecode VM is a pure CPU optimisation: running the same
-    # capture through the tree walker must produce an identical wire.
-    "bytecode_off":  {"flags": {"bytecode_enabled": False},
-                      "compare": "exact", "allowed": frozenset()},
     # Cache misses are reply-bearing requests, and every reply-bearing
     # request is an auto-flush point: turning the cache off therefore
     # also moves batch boundaries and defeats some coalescing, so the
@@ -223,7 +219,6 @@ def start_recording(server, name: str = "session", script: str = "",
                     cache_enabled: bool = True,
                     compile_enabled: bool = True,
                     buffering_enabled: bool = True,
-                    bytecode_enabled: bool = True,
                     sink: Optional[str] = None,
                     maxlen: Optional[int] = None,
                     fault_plan=None,
@@ -251,7 +246,6 @@ def start_recording(server, name: str = "session", script: str = "",
                        cache_enabled=cache_enabled,
                        compile_enabled=compile_enabled,
                        buffering_enabled=buffering_enabled,
-                       bytecode_enabled=bytecode_enabled,
                        fault_plan=fault_spec, planted=planted)
     journal.open_sink()
     server.attach_journal(journal)
@@ -263,7 +257,6 @@ def record_session(script: str, steps: List[Tuple],
                    cache_enabled: bool = True,
                    compile_enabled: bool = True,
                    buffering_enabled: bool = True,
-                   bytecode_enabled: bool = True,
                    sink: Optional[str] = None,
                    fault_plan=None,
                    planted: Optional[str] = None) -> Journal:
@@ -284,17 +277,13 @@ def record_session(script: str, steps: List[Tuple],
                               cache_enabled=cache_enabled,
                               compile_enabled=compile_enabled,
                               buffering_enabled=buffering_enabled,
-                              bytecode_enabled=bytecode_enabled,
                               sink=sink, fault_plan=fault_plan,
                               planted=planted)
     flags = {"cache_enabled": cache_enabled,
              "compile_enabled": compile_enabled,
-             "buffering_enabled": buffering_enabled,
-             "bytecode_enabled": bytecode_enabled}
+             "buffering_enabled": buffering_enabled}
     try:
-        app = _build_app(server, name, script, cache_enabled,
-                         compile_enabled, buffering_enabled,
-                         bytecode_enabled)
+        app = _build_app(server, name, script, flags)
     except XProtocolError:
         # A header fault plan can kill construction itself; the
         # journal (and its replay) must survive that, so record the
@@ -361,13 +350,8 @@ def apply_input(server, default_app, name: str, args: List,
     if name == "new_app":
         app_name = args[0]
         script = args[1] if len(args) > 1 else ""
-        flags = dict(flags or {})
         try:
-            return _build_app(server, app_name, script,
-                              flags.get("cache_enabled", True),
-                              flags.get("compile_enabled", True),
-                              flags.get("buffering_enabled", True),
-                              flags.get("bytecode_enabled", True),
+            return _build_app(server, app_name, script, flags,
                               transport=transport)
         except Exception as error:
             if swallowed is not None:
@@ -424,17 +408,18 @@ def _pump(app, swallowed: Optional[List]) -> None:
             swallowed.append(("pump", error))
 
 
-def _build_app(server, name: str, script: str, cache_enabled: bool,
-               compile_enabled: bool, buffering_enabled: bool,
-               bytecode_enabled: bool = True, transport=None):
+def _build_app(server, name: str, script: str,
+               flags: Optional[dict] = None, transport=None):
+    """Build one application from a journal header's (or session
+    spec's) ablation ``flags``; every flag a dict omits is on."""
     from ..tcl.interp import Interp
     from ..tk.app import TkApp
-    interp = Interp(compile_enabled=compile_enabled,
-                    bytecode_enabled=bytecode_enabled)
+    flags = flags or {}
+    interp = Interp(compile_enabled=flags.get("compile_enabled", True))
     interp.stdout = io.StringIO()
     app = TkApp(server, name=name, interp=interp,
-                cache_enabled=cache_enabled,
-                buffering_enabled=buffering_enabled,
+                cache_enabled=flags.get("cache_enabled", True),
+                buffering_enabled=flags.get("buffering_enabled", True),
                 transport=transport)
     if script:
         app.interp.eval_top(script)
@@ -478,10 +463,6 @@ def replay_journal(journal: Journal, mode: str = "default",
     policy = MODES[mode]
     header = journal.meta or {}
     flags = dict(header.get("flags") or {})
-    flags.setdefault("cache_enabled", True)
-    flags.setdefault("compile_enabled", True)
-    flags.setdefault("buffering_enabled", True)
-    flags.setdefault("bytecode_enabled", True)
     flags.update(policy["flags"])
     if script is None:
         script = header.get("script") or ""
@@ -506,11 +487,7 @@ def replay_journal(journal: Journal, mode: str = "default",
         app = setup(server)
     else:
         try:
-            app = _build_app(server, name, script,
-                             flags["cache_enabled"],
-                             flags["compile_enabled"],
-                             flags["buffering_enabled"],
-                             flags["bytecode_enabled"],
+            app = _build_app(server, name, script, flags,
                              transport=transport)
         except Exception as error:
             # A header fault plan can fire during construction itself;

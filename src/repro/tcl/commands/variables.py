@@ -31,33 +31,6 @@ def cmd_set(interp, argv: List[str]) -> str:
     return interp.get_var(name, index)
 
 
-def _specialize_set(argv: List[str]):
-    """Compile-time argument plan for literal ``set`` commands.
-
-    The variable name is split once, so re-evaluating a cached
-    ``set a 1`` is a single ``set_var`` call (see repro.tcl.compile).
-    """
-    if len(argv) == 3:
-        name, index = split_var_name(argv[1])
-        value = argv[2]
-
-        def fast_set(interp) -> str:
-            return interp.set_var(name, value, index)
-
-        return fast_set
-    if len(argv) == 2:
-        name, index = split_var_name(argv[1])
-
-        def fast_get(interp) -> str:
-            return interp.get_var(name, index)
-
-        return fast_get
-    return None
-
-
-cmd_set.specialize = _specialize_set
-
-
 def cmd_unset(interp, argv: List[str]) -> str:
     if len(argv) < 2:
         raise TclError(
@@ -76,31 +49,6 @@ def cmd_incr(interp, argv: List[str]) -> str:
     current = _to_int(interp.get_var(name, index))
     amount = _to_int(argv[2]) if len(argv) == 3 else 1
     return interp.set_var(name, str(current + amount), index)
-
-
-def _specialize_incr(argv: List[str]):
-    """Compile-time plan for literal ``incr``: name split and increment
-    parsed once."""
-    if len(argv) not in (2, 3):
-        return None
-    name, index = split_var_name(argv[1])
-    if len(argv) == 3:
-        try:
-            amount = _to_int(argv[2])
-        except TclError:
-            # Let the generic path report the malformed increment.
-            return None
-    else:
-        amount = 1
-
-    def fast_incr(interp) -> str:
-        current = _to_int(interp.get_var(name, index))
-        return interp.set_var(name, str(current + amount), index)
-
-    return fast_incr
-
-
-cmd_incr.specialize = _specialize_incr
 
 
 def cmd_append(interp, argv: List[str]) -> str:

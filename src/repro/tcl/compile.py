@@ -2,26 +2,20 @@
 
 The paper's performance argument (section 2, Table II) rests on Tcl
 values being immutable strings: the parse result of a script can be
-cached and re-evaluated cheaply.  The seed interpreter cached only the
-raw parse and still re-dispatched on fragment types, re-joined literal
-pieces, and re-looked-up the command procedure on every evaluation.
-This module goes one step further, in the spirit of Tcl 8.0's
-bytecode compiler: a script is compiled *once* into structures that
-pre-resolve everything that cannot change between evaluations.
+cached and re-evaluated cheaply.  This module is the front half of
+that pipeline: a script is parsed *once* into structures that
+pre-resolve everything that cannot change between evaluations, and
+the bytecode VM (:mod:`repro.tcl.vm`) compiles those structures into
+the opcodes it executes.
 
 * Words made only of literal fragments are pre-joined into plain
   strings at compile time.
-* Commands whose words are all literal carry a precomputed ``argv``;
-  evaluating them is a list copy plus a command invocation.
+* Commands whose words are all literal carry a precomputed ``argv``.
 * Words that do need substitution become :class:`CompiledWord` plans
   whose steps are plain strings (adjacent literals merged), variable
   reads (:class:`_VarStep`), or nested compiled scripts
   (:class:`_CmdStep`) — no per-evaluation ``isinstance`` dispatch over
   parser fragments.
-* The command procedure named by a literal first word is memoized on
-  the compiled command, guarded by the interpreter's
-  ``commands_epoch`` so that ``proc`` redefinition, ``rename``, and
-  command deletion invalidate it immediately.
 
 Compiled objects hold no variable values and no call-frame state, so a
 :class:`CompiledScript` is safely re-entrant: the same compiled proc
@@ -91,136 +85,34 @@ class CompiledWord:
 
 
 class CompiledCommand:
-    """One compiled command: plans per word, plus fast paths.
+    """One compiled command: a plan per word.
 
     ``argv`` is the precomputed word list when every word is a pure
     literal (the overwhelmingly common case: ``set a 1``, ``incr i``).
-
-    ``_cmd_state`` memoizes the resolved command procedure as
-    ``(interp, epoch, proc)``; it is only consulted while the
-    interpreter's command table is unchanged (same epoch) and only ever
-    populated when the first word is literal, so ``rename``, ``proc``
-    redefinition, and command deletion take effect immediately.
-
-    ``_fast`` is an optional *argument specialization*: a command
-    procedure may carry a ``specialize`` attribute — a function taking
-    a literal argv and returning either None or a closure
-    ``fast(interp) -> str`` with the arguments pre-parsed (``set``
-    pre-splits its variable name, ``incr`` pre-parses its increment).
-    The closure is memoized under the same epoch guard as the command
-    procedure itself.
+    The bytecode VM (:mod:`repro.tcl.vm`) turns each command into one
+    opcode and executes it; ``words`` and ``source`` are what its
+    generic path substitutes and reports in ``errorInfo``.
     """
 
-    __slots__ = ("source", "words", "argv", "_cmd_state", "_fast")
+    __slots__ = ("source", "words", "argv")
 
     def __init__(self, source: str, words: List[Union[str, CompiledWord]]):
         self.source = source
         self.words = words
         all_literal = all(type(word) is str for word in words)
         self.argv: Optional[List[str]] = list(words) if all_literal else None
-        self._cmd_state = None
-        self._fast = None
-
-    def execute(self, interp) -> str:
-        if interp._trace_on:
-            tracer = interp._tracer
-            argv = self.argv
-            widget = None
-            if argv is not None:
-                if argv[0].startswith("."):
-                    widget = argv[0]
-                elif len(argv) > 1 and argv[1].startswith("."):
-                    widget = argv[1]
-                name = argv[0]
-            else:
-                word = self.words[0]
-                name = word if type(word) is str else \
-                    (self.source.split() or ["?"])[0]
-            span = tracer.begin("cmd", name, widget)
-            try:
-                return self._execute(interp)
-            finally:
-                tracer.finish(span)
-        return self._execute(interp)
-
-    def _execute(self, interp) -> str:
-        state = self._cmd_state
-        if state is not None and state[1] == interp.commands_epoch and \
-                state[0] is interp:
-            fast = self._fast
-            if fast is not None:
-                interp._m_commands.value += 1
-                try:
-                    return fast(interp)
-                except TclError as error:
-                    _append_error_info(error, self.source)
-                    raise
-                except interp.native_error_types as error:
-                    converted = TclError(str(error))
-                    _append_error_info(converted, self.source)
-                    raise converted from error
-            proc = state[2]
-        else:
-            proc = None
-        argv = self.argv
-        if argv is not None:
-            # Copy so a command procedure that mutates its argv cannot
-            # corrupt later evaluations of the cached command.
-            argv = argv[:]
-        else:
-            argv = [word if type(word) is str else word.substitute(interp)
-                    for word in self.words]
-        if proc is None:
-            proc = interp.commands.get(argv[0])
-            if proc is None:
-                # Missing command: fall back to the interpreter's
-                # ``unknown`` handling.  Never memoized, so a handler
-                # that defines the command is picked up next time.
-                return interp._invoke(argv, self.source)
-            if type(self.words[0]) is str:
-                fast = None
-                if self.argv is not None:
-                    special = getattr(proc, "specialize", None)
-                    if special is not None:
-                        fast = special(list(self.argv))
-                self._fast = fast
-                self._cmd_state = (interp, interp.commands_epoch, proc)
-        interp._m_commands.value += 1
-        try:
-            result = proc(interp, argv)
-        except TclError as error:
-            _append_error_info(error, self.source)
-            raise
-        except interp.native_error_types as error:
-            converted = TclError(str(error))
-            _append_error_info(converted, self.source)
-            raise converted from error
-        return result if result is not None else ""
 
 
 class CompiledScript:
-    """A script compiled to a sequence of :class:`CompiledCommand`.
+    """A script compiled to a sequence of :class:`CompiledCommand`."""
 
-    ``single`` names the only command of a one-command script (the
-    normal shape for widget ``-command`` strings and simple
-    benchmarks), letting the interpreter skip the command loop.
-    """
-
-    __slots__ = ("source", "commands", "single", "vm_code")
+    __slots__ = ("source", "commands", "vm_code")
 
     def __init__(self, source: str, commands: List[CompiledCommand]):
         self.source = source
         self.commands = commands
-        self.single: Optional[CompiledCommand] = \
-            commands[0] if len(commands) == 1 else None
         #: Bytecode form, built lazily by the VM on first execution.
         self.vm_code = None
-
-    def execute(self, interp) -> str:
-        result = ""
-        for command in self.commands:
-            result = command.execute(interp)
-        return result
 
 
 def compile_word(word: parser.Word) -> Union[str, CompiledWord]:
@@ -266,8 +158,8 @@ def compile_script(script: str) -> CompiledScript:
 def _append_error_info(error: TclError, source: str) -> None:
     """Accumulate a human-readable trace as the error propagates.
 
-    Identical to the interpreter's own accumulation so compiled and
-    interpreted evaluation produce the same ``errorInfo``.
+    Shared by the VM and the parse-per-eval path so both produce the
+    same ``errorInfo``.
     """
     info = getattr(error, "info", None)
     if info is None:

@@ -151,8 +151,7 @@ class Interp:
 
     def __init__(self, stdout=None, compile_enabled: bool = True,
                  obs: Optional[Observability] = None,
-                 obs_enabled: bool = True,
-                 bytecode_enabled: bool = True):
+                 obs_enabled: bool = True):
         self.commands: Dict[str, CommandProc] = {}
         self.global_frame = CallFrame(level=0)
         self.frames: List[CallFrame] = [self.global_frame]
@@ -161,13 +160,8 @@ class Interp:
         #: Ablation flag (mirrors ``ResourceCache(enabled=False)``):
         #: when False every evaluation re-parses and re-substitutes
         #: from scratch, with no compiled-script or expression caching.
+        #: When True, compiled scripts always run on the bytecode VM.
         self.compile_enabled = compile_enabled
-        #: Ablation flag for the bytecode VM: when False, compiled
-        #: scripts are executed by the tree-walking CompiledCommand
-        #: path exactly as before the VM existed.  (The VM also stands
-        #: down while the span tracer is collecting, so trace trees
-        #: keep their exact per-command shape.)
-        self.bytecode_enabled = bytecode_enabled
         #: True while no variable traces are installed: the VM may
         #: read/write frame storage directly.  ``trace`` flips it and
         #: the VM falls back to the (hooked) get_var/set_var methods.
@@ -208,8 +202,8 @@ class Interp:
         if obs_enabled:
             self.obs.tracer.listeners.append(self._set_trace_on)
             self._trace_on = self.obs.tracer.enabled
-        #: Bumped whenever the command table changes; compiled commands
-        #: memoize their resolved command procedure against this, so
+        #: Bumped whenever the command table changes; the VM's inline
+        #: caches and specialized opcodes are validated against this, so
         #: ``rename``/redefinition/deletion invalidate instantly.
         self.commands_epoch = 0
         #: Exception types raised by the embedding's native layer (Tk
@@ -318,19 +312,13 @@ class Interp:
                 for command in parser.parse_script(script):
                     result = self._eval_command(command)
                 return result
-            if self.bytecode_enabled and self.compile_enabled and \
-                    not self._trace_on:
-                code = compiled.vm_code
-                if code is None:
-                    code = _vm.code_for_script(self, compiled)
-                result = _vm.run(self, code, self.frames[-1])
-                if type(result) is str or type(result) is _Value:
-                    return result
-                return _to_value_str(result)
-            single = compiled.single
-            if single is not None:
-                return single.execute(self)
-            return compiled.execute(self)
+            code = compiled.vm_code
+            if code is None:
+                code = _vm.code_for_script(self, compiled)
+            result = _vm.run(self, code, self.frames[-1])
+            if type(result) is str or type(result) is _Value:
+                return result
+            return _to_value_str(result)
         finally:
             self.depth -= 1
 
@@ -723,22 +711,16 @@ class Interp:
         return self._call_proc(proc, argv)
 
     def _call_proc(self, proc: Proc, argv: List[str]) -> str:
-        if self.bytecode_enabled and self.compile_enabled and \
-                not self._trace_on:
-            return self._call_proc_vm(proc, argv)
-        body: Union[str, CompiledScript] = proc.body
         if self.compile_enabled:
-            compiled = proc.compiled
-            if compiled is None:
-                compiled = proc.compiled = compile_script(proc.body)
-            body = compiled
+            return self._call_proc_vm(proc, argv)
+        # Ablation path: a dict frame, and the body re-parsed per call.
         frame = CallFrame(level=len(self.frames), proc_name=proc.name,
                           argv=argv)
         self._bind_formals(proc, argv, frame)
         self.frames.append(frame)
         try:
             try:
-                return self.eval(body)
+                return self.eval(proc.body)
             except TclReturn as ret:
                 return ret.value
             except TclBreak:

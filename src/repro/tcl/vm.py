@@ -1,12 +1,13 @@
 """Bytecode VM for the Tcl core (the Tcl 8.0 move, scaled to this repo).
 
-PR 1's compile-once pipeline (src/repro/tcl/compile.py) removed
-re-parsing, but execution still walks a tree of ``CompiledCommand``
-objects: every ``incr`` re-splits its variable name, every ``while``
-re-enters the generic command machinery, and every value crossing a
-command boundary is a string.  This module compiles those plans one
-step further, into a flat tuple of *opcodes* executed by a single
-dispatch loop:
+The compile-once front end (src/repro/tcl/compile.py) parses each
+script once into ``CompiledCommand`` word plans.  Invoking those
+plans command by command would still re-split every ``incr``'s
+variable name, re-enter the generic command machinery on every
+``while`` iteration, and turn every value crossing a command boundary
+into a string.  This module compiles the plans one step further, into
+a flat tuple of *opcodes* executed by a single dispatch loop — the
+only executor of compiled scripts:
 
 * dedicated opcodes for the hot shapes — ``set``/``incr`` (with the
   variable name pre-split and, inside procedures, pre-resolved to a
@@ -15,8 +16,8 @@ dispatch loop:
   ``if``/``while``/``for``/``foreach`` ops whose bodies are nested
   code objects — no command dispatch per iteration;
 * an inline cache per call site for command resolution, keyed on the
-  interpreter's ``commands_epoch`` exactly like the tree walker's
-  memoization;
+  interpreter's ``commands_epoch``, so ``rename``, ``proc``
+  redefinition and command deletion take effect immediately;
 * indexed local-variable slots: a procedure's formals are resolved to
   slot numbers at compile time, so reads and writes inside the body
   are list indexing instead of dict lookups.
@@ -30,9 +31,12 @@ replaces is still the registered command procedure.  A code object
 therefore records the builtin names it specialized on; ``_usable``
 revalidates that set against the live command table whenever the
 epoch moves.  When validation fails — someone renamed ``set``, or the
-span tracer started collecting — every opcode falls back to its
-embedded :class:`~repro.tcl.compile.CompiledCommand`, which restores
-tree-walking semantics (including trace spans) exactly.
+span tracer started collecting — every opcode takes the generic path
+(:func:`_generic`): the words of its embedded
+:class:`~repro.tcl.compile.CompiledCommand` are substituted and the
+command is invoked by name through ``Interp._invoke``, which opens the
+``cmd`` trace span and handles ``unknown``.  Traced runs therefore
+execute this same dispatch loop, one generic op per command.
 
 Value discipline
 ----------------
@@ -45,8 +49,9 @@ first time string-level code looks, and every boundary out of the VM
 :func:`repro.tcl.value.to_str`, whose ``%.12g``-based formatting makes
 the raw path observationally identical to the string path.  That
 equivalence is what lets ``examples/golden.journal`` replay
-byte-identically with the VM on — the correctness oracle for this
-whole module.
+byte-identically on the VM and on the parse-per-eval path
+(``compile_off`` replay mode) — the correctness oracle for this whole
+module.
 """
 
 from __future__ import annotations
@@ -269,7 +274,7 @@ def _expr_eval(interp, frame, node):
     Only the nodes that dominate hot expressions are special-cased;
     anything lazy (``&&``/``||``/``?:``), function calls, command and
     quoted substitutions delegate to the node's own ``eval``, which is
-    the exact tree-walking semantics.
+    exactly what the ``expr`` command does.
     """
     t = type(node)
     if t is _BinaryNode:
@@ -389,13 +394,20 @@ def _exec_body(interp, code: Code, frame):
         interp.depth -= 1
 
 
+def _generic(interp, cmd):
+    """Substitute a command's words and invoke it by name."""
+    argv = [word if type(word) is str else word.substitute(interp)
+            for word in cmd.words]
+    return interp._invoke(argv, cmd.source)
+
+
 def run(interp, code: Code, frame):
     """Execute a code object against ``frame``; may return a raw value.
 
-    Error-info accumulation matches the tree walker exactly: word
+    Error-info accumulation matches the generic path exactly: word
     *resolution* errors propagate unwrapped (substitution happens
-    before a tree command enters its try block), while errors from the
-    operation itself are wrapped with the command source.
+    before the command is invoked), while errors from the operation
+    itself are wrapped with the command source.
     """
     ops = code.ops
     interp._m_vm_dispatches.value += len(ops)
@@ -416,7 +428,7 @@ def run(interp, code: Code, frame):
                     interp._trace_on:
                 valid = _usable(interp, code)
         if not valid:
-            result = op[-1].execute(interp)
+            result = _generic(interp, op[-1])
             valid = _usable(interp, code)
             continue
         kind = op[0]
@@ -560,7 +572,7 @@ def run(interp, code: Code, frame):
         elif kind == OP_FOR:
             result = _op_for(interp, frame, op)
         elif kind == OP_GENERIC:
-            result = op[1].execute(interp)
+            result = _generic(interp, op[1])
         elif kind == OP_RETURN:
             plan = op[1]
             raise TclReturn(
@@ -634,8 +646,8 @@ def _op_for(interp, frame, op):
 
 def _op_foreach(interp, frame, op):
     targets, body = op[1], op[3]
-    # Substitution of the list word precedes the command proper in the
-    # tree walker, so its errors stay unwrapped.
+    # Substitution of the list word precedes the command proper on the
+    # generic path, so its errors stay unwrapped.
     list_text = _resolve(interp, frame, op[2])
     try:
         values = parse_list(list_text)
@@ -709,7 +721,7 @@ class _Builder:
                 # Anything statically malformed (bad expr syntax,
                 # unparsable sub-script, non-integer increment) takes
                 # the generic call path so the error is raised at run
-                # time, by the builtin, exactly as the tree does.
+                # time, by the builtin, exactly as the generic path does.
                 op = None
             if op is not None:
                 self.specialized.add(name)

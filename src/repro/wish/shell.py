@@ -31,12 +31,10 @@ class Wish:
                  argv: Optional[List[str]] = None,
                  cache_enabled: bool = True,
                  compile_enabled: bool = True,
-                 buffering_enabled: bool = True,
-                 bytecode_enabled: bool = True):
+                 buffering_enabled: bool = True):
         self.server = server if server is not None else XServer()
         from ..tcl.interp import Interp
-        interp = Interp(compile_enabled=compile_enabled,
-                        bytecode_enabled=bytecode_enabled)
+        interp = Interp(compile_enabled=compile_enabled)
         self.app = TkApp(self.server, name=name, interp=interp,
                          cache_enabled=cache_enabled,
                          buffering_enabled=buffering_enabled)
@@ -82,13 +80,9 @@ class Wish:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Command-line entry point:
-    ``wish ?-f script? ?-name name? ?--no-bytecode? ?--trace?
+    ``wish ?-f script? ?-name name? ?--trace?
     ?--metrics-out file? ?--journal file?
     ?--replay file ?--replay-mode mode?? ?args?``.
-
-    ``--no-bytecode`` runs the interpreter with the bytecode VM
-    disabled (the tree-walking ablation), and is recorded in the
-    journal header so replays rebuild the same configuration.
 
     ``--trace`` starts the span tracer (wire mode) before the script
     runs and prints the span tree to stderr on exit; ``--metrics-out
@@ -108,14 +102,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     journal_out = None
     replay_file = None
     replay_modes: List[str] = []
-    bytecode_enabled = True
     while argv:
         if argv[0] == "-f" and len(argv) > 1:
             script_file = argv[1]
             argv = argv[2:]
-        elif argv[0] == "--no-bytecode":
-            bytecode_enabled = False
-            argv = argv[1:]
         elif argv[0] == "-name" and len(argv) > 1:
             name = argv[1]
             argv = argv[2:]
@@ -153,10 +143,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(script_file, "r") as handle:
                 script_text = handle.read()
         journal = start_recording(server, name=name, script=script_text,
-                                  bytecode_enabled=bytecode_enabled,
                                   sink=journal_out)
-    shell = Wish(server=server, name=name, argv=argv,
-                 bytecode_enabled=bytecode_enabled)
+    shell = Wish(server=server, name=name, argv=argv)
     obs = shell.app.obs
     if trace or metrics_out is not None:
         obs.tracer.start(wire=trace)
@@ -201,10 +189,6 @@ def _replay_main(path: str, modes: List[str]) -> int:
                 % (mode, ", ".join(sorted(MODES))))
             return 2
         flags = dict(header.get("flags") or {})
-        flags.setdefault("cache_enabled", True)
-        flags.setdefault("compile_enabled", True)
-        flags.setdefault("buffering_enabled", True)
-        flags.setdefault("bytecode_enabled", True)
         flags.update(MODES[mode]["flags"])
 
         def setup(server):

@@ -238,8 +238,8 @@ class TestComparisonBoundaries:
     Whether an operand compares numerically or lexically is decided by
     the same parser that feeds the dual-rep numeric cache
     (repro.tcl.value.number_of); these rows pin the tricky edges so the
-    bytecode VM's inlined comparisons and the tree walker's appliers
-    can never drift apart.
+    bytecode VM's inlined comparisons and the appliers of the
+    parse-per-eval path can never drift apart.
     """
 
     @pytest.mark.parametrize("expression, expected", [
@@ -275,7 +275,7 @@ class TestComparisonBoundaries:
         ('"9" < "10"', "1"),
     ])
     def test_boundary_without_bytecode(self, expression, expected):
-        interp = Interp(bytecode_enabled=False)
+        interp = Interp(compile_enabled=False)
         assert interp.eval("expr {%s}" % expression) == expected
 
     def test_variable_operands_hit_the_same_rules(self, interp):

@@ -2,15 +2,21 @@
 
 The VM is a pure CPU optimisation: every observable — results, errors,
 errorInfo, ``info cmdcount``, variable traces — must match the
-tree-walking interpreter exactly.  The equivalence battery runs the
-same scripts under ``Interp()`` and ``Interp(bytecode_enabled=False)``
-and insists on identical outcomes; the rest of the file covers the
-VM-only surface (disassembly, counters, inline caches, deopt).
+parse-per-eval reference interpreter exactly.  The equivalence battery
+runs the same scripts under ``Interp()`` and
+``Interp(compile_enabled=False)`` and insists on identical outcomes,
+then again with the span tracer collecting (which sends every op down
+the VM's generic path).  The rest of the file covers the VM-only
+surface (disassembly, counters, inline caches, deopt).
 """
+
+import io
 
 import pytest
 
 from repro.tcl import Interp, TclError
+from repro.tk import TkApp
+from repro.x11 import XServer
 
 
 @pytest.fixture
@@ -22,8 +28,34 @@ def metric(interp, name):
     return interp.obs.metrics.counter(name).value
 
 
+def evaluators():
+    """The VM and the parse-per-eval reference, in that order."""
+    return (Interp(), Interp(compile_enabled=False))
+
+
+@pytest.fixture
+def traced():
+    """Factory of VM interpreters whose span tracer is collecting.
+
+    The tracers are stopped after the test: a tracer left running
+    stays registered process-wide and would stamp trace context into
+    the wire frames of later tests.
+    """
+    tracers = []
+
+    def make():
+        interp = Interp()
+        interp.obs.tracer.start()
+        tracers.append(interp.obs.tracer)
+        return interp
+
+    yield make
+    for tracer in tracers:
+        tracer.stop()
+
+
 # ---------------------------------------------------------------------------
-# equivalence battery: VM on vs. VM off
+# equivalence battery: VM vs. parse-per-eval, traced vs. untraced
 # ---------------------------------------------------------------------------
 
 EQUIVALENCE_SCRIPTS = [
@@ -52,11 +84,12 @@ EQUIVALENCE_SCRIPTS = [
 ]
 
 
+# "tree_walker" in the test names below means the reference evaluator,
+# which is the parse-per-eval path.
 @pytest.mark.parametrize("script", EQUIVALENCE_SCRIPTS)
 def test_vm_matches_tree_walker(script):
-    with_vm = Interp().eval(script)
-    without_vm = Interp(bytecode_enabled=False).eval(script)
-    assert with_vm == without_vm
+    vm, reference = evaluators()
+    assert vm.eval(script) == reference.eval(script)
 
 
 @pytest.mark.parametrize("script", [
@@ -67,38 +100,57 @@ def test_vm_matches_tree_walker(script):
     "proc p {a} {}\np",                  # missing parameter
     "proc p {} {break}\np",              # break outside a loop
 ])
-def test_vm_matches_tree_walker_errors(script):
+def test_vm_matches_tree_walker_errors(script, traced):
     outcomes = []
-    for flag in (True, False):
-        interp = Interp(bytecode_enabled=flag)
+    for interp in evaluators() + (traced(),):
         with pytest.raises(TclError) as info:
             interp.eval(script)
         outcomes.append(info.value.message)
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
-def test_error_info_matches_tree_walker():
+def test_error_info_matches_tree_walker(traced):
     script = "proc inner {} {error boom}\nproc outer {} {inner}"
     reports = []
-    for flag in (True, False):
-        interp = Interp(bytecode_enabled=flag)
+    for interp in evaluators() + (traced(),):
         interp.eval(script)
         with pytest.raises(TclError):
             interp.eval_top("outer")
         reports.append(interp.eval("set errorInfo"))
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
 
 
-def test_cmd_count_matches_tree_walker():
+def test_cmd_count_matches_tree_walker(traced):
     script = ("proc add {x y} {expr {$x + $y}}\n"
               "set t 0\nfor {set i 0} {$i < 5} {incr i} "
               "{set t [add $t $i]}")
     counts = []
-    for flag in (True, False):
-        interp = Interp(bytecode_enabled=flag)
+    for interp in evaluators() + (traced(),):
         interp.eval(script)
         counts.append(interp.eval("info cmdcount"))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] == counts[2]
+
+
+@pytest.mark.parametrize("script", EQUIVALENCE_SCRIPTS)
+def test_traced_matches_untraced(script, traced):
+    interp = traced()
+    assert interp.eval(script) == Interp().eval(script)
+    assert any(span.kind == "cmd" for span in interp.obs.tracer.spans)
+
+
+def test_traced_span_names_substituted_widget_command():
+    app = TkApp(XServer(), name="spans")
+    app.interp.stdout = io.StringIO()
+    tracer = app.obs.tracer
+    try:
+        tracer.start()
+        app.interp.eval("set w .b; button $w; $w configure -text hi")
+    finally:
+        tracer.stop()
+        app.destroy()
+    cmds = [(span.name, span.widget) for span in tracer.spans
+            if span.kind == "cmd"]
+    assert cmds == [("set", None), ("button", ".b"), (".b", ".b")]
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +182,6 @@ class TestCounters:
         assert "tcl.vm.compiles" in listing
         assert "tcl.vm.dispatches" in listing
         assert "tcl.vm.inline_cache_hits" in listing
-
-    def test_vm_off_never_dispatches(self):
-        interp = Interp(bytecode_enabled=False)
-        interp.eval("proc add {x y} {expr {$x + $y}}")
-        interp.eval("add 1 2")
-        assert metric(interp, "tcl.vm.dispatches") == 0
 
 
 class TestDisassemble:
@@ -210,8 +256,7 @@ class TestDeopt:
         script = ("proc reuse {x} {upvar 1 target x}\n"
                   "set target original\nreuse ignored")
         messages = []
-        for flag in (True, False):
-            interp = Interp(bytecode_enabled=flag)
+        for interp in evaluators():
             with pytest.raises(TclError) as info:
                 interp.eval(script)
             messages.append(info.value.message)
