@@ -18,7 +18,9 @@ fields vary by machine.  The ``--check`` gate therefore verifies:
 * the slow session appears in the top-N-slowest report, attributed to
   its recorded journal;
 * that journal replays standalone with an exact wire match — the
-  outlier really is one ``--repro`` away from reproduction.
+  outlier really is one ``--repro`` away from reproduction;
+* no application is still alive on any cell server after the run
+  (every session destroys the applications it built).
 
 Usage::
 
@@ -114,7 +116,8 @@ def flight_on_breach(result, failures):
 
 
 def check(result, slow) -> int:
-    """The CI gate: SLOs + slow-session attribution + replayability."""
+    """The CI gate: SLOs + slow-session attribution + replayability
+    + no leaked applications."""
     failures = ["SLO %s %s (value %s)"
                 % (row["slo"], row["bound"], row["value"])
                 for row in result.slos() if not row["ok"]]
@@ -122,6 +125,9 @@ def check(result, slow) -> int:
         failures.append("slow session missing from top-%d report" % TOP)
     if not slow["replay_matched"]:
         failures.append("slow-session journal did not replay matched")
+    if result.live_apps:
+        failures.append("%d application(s) still live on cell servers "
+                        "after the run" % result.live_apps)
     if failures:
         print("FAIL:")
         for line in failures:
@@ -131,7 +137,8 @@ def check(result, slow) -> int:
             print("flight artifact: %s" % artifact)
         return 1
     print("OK: %d SLOs hold; slow session ranked #%s of top-%d and its "
-          "journal replayed with an exact wire match (%d requests)"
+          "journal replayed with an exact wire match (%d requests); "
+          "no live applications left"
           % (len(result.slos()), slow["rank"], TOP,
              slow["replay_requests"]))
     return 0

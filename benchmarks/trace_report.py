@@ -45,13 +45,12 @@ def _traced_replay(journal: Journal, kind: str) -> dict:
     """One traced default-mode replay over ``kind``; returns the wire
     JSONL, the structural span forest, and the critical path."""
     header = journal.meta or {}
-    flags = dict(header.get("flags") or {})
     tracers = []
 
-    def setup(server):
-        app = _build_app(server, header.get("name") or "replay",
-                         header.get("script") or "", flags,
-                         transport=kind)
+    def setup(session):
+        app = _build_app(session.server, header.get("name") or "replay",
+                         header.get("script") or "", session.flags,
+                         transport=session.transport)
         # Trace from the first replayed input on; spans stay readable
         # after app.destroy() deregisters the tracer.
         app.obs.tracer.start(wire=True)

@@ -165,6 +165,11 @@ class FleetResult:
         self.pings = driver.pings
         self.wall_seconds = driver.wall_seconds
         self.virtual_ms = driver.clock.now
+        #: applications still alive on a cell server after every
+        #: session finished: a leak, since each session destroys its own
+        self.live_apps = sum(1 for server in driver.servers
+                             for app in getattr(server, "apps", ())
+                             if not app.destroyed)
 
     def summary(self) -> dict:
         registry = self.registry
@@ -188,6 +193,7 @@ class FleetResult:
             "faults_injected": registry.total("x11.faults"),
             "journal_dropped": registry.total("obs.journal.dropped"),
             "trace_evicted": registry.total("obs.trace.evicted"),
+            "live_apps": self.live_apps,
             "virtual_ms": self.virtual_ms,
             "wall_seconds": round(self.wall_seconds, 3),
             "sessions_per_sec": round(len(self.sessions) / wall, 2),

@@ -15,8 +15,12 @@ three sources and all run identically:
   telemetry must be able to pick out of the crowd.
 
 A :class:`FleetSession` runs one spec against a (possibly shared)
-:class:`~repro.x11.xserver.XServer`, one input per scheduler visit,
-and records *its own* telemetry into a private
+:class:`~repro.x11.xserver.XServer`, one input per scheduler visit.
+It is a :class:`~repro.obs.replay.Session` — the one executor replay,
+record and the fuzzer also use — so a fleet session journals, targets
+applications and tears down exactly as its replay does, and after
+each input its swallowed exceptions become ``fleet.errors``.  It
+records *its own* telemetry into a private
 :class:`~repro.obs.metrics.MetricsRegistry`: a ``fleet.dispatch_ms``
 histogram of virtual milliseconds consumed per input (the shared
 virtual clock makes this exactly attributable — only one session runs
@@ -33,10 +37,12 @@ registry, so the fleet rollup sees every per-session series under one
 ``{session=...}`` label.
 
 Isolation rule: inputs resolve their target application among **this
-session's** applications only.  Several journals recorded against an
-application named ``fuzz`` can share one cell without their inputs
-cross-firing into each other's interpreters; the ``send`` registry
-de-duplicates display names per server as usual.
+session's** applications only — every application that registered
+during one of its builds, even one whose setup then failed — and the
+session destroys them all when it finishes.  Several journals
+recorded against an application named ``fuzz`` can share one cell
+without their inputs cross-firing into each other's interpreters; the
+``send`` registry de-duplicates display names per server as usual.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ from typing import List, Optional, Tuple
 
 from ..fuzz.gen import generate_scenario
 from ..obs.metrics import MetricsRegistry
-from ..obs.replay import _build_app, start_recording
+from ..obs.journal import Flags
+from ..obs.replay import Session, start_recording
 from ..x11 import events as ev
 from ..x11.faults import FaultPlan
 
@@ -69,14 +76,14 @@ class SessionSpec:
 
     def __init__(self, steps: List[Tuple[str, list]],
                  setup_script: str = "",
-                 flags: Optional[dict] = None,
+                 flags: Flags = Flags(),
                  fault_spec: Optional[dict] = None,
                  name: str = "session", source: str = "",
                  record_path: Optional[str] = None,
                  transport: Optional[str] = None):
         self.steps = [(kind, list(args)) for kind, args in steps]
         self.setup_script = setup_script
-        self.flags = dict(flags or {})
+        self.flags = flags
         self.fault_spec = fault_spec
         #: how this session's Displays reach the cell's server: None /
         #: "loopback" for in-process calls, "socket" for real frames
@@ -115,14 +122,15 @@ class SessionSpec:
 
         Planted test-only bugs named by the header are *not* armed —
         the fleet drives the shipping code; the journal contributes
-        its workload, not its historical defect.
+        its workload, not its historical defect.  A header flag this
+        build does not know raises ValueError, as replay does.
         """
         from ..obs.journal import Journal
         journal = Journal.load(path)
         header = journal.meta or {}
         return cls(journal.inputs(),
                    setup_script=header.get("script") or "",
-                   flags=dict(header.get("flags") or {}),
+                   flags=journal.flags,
                    fault_spec=header.get("fault_plan"),
                    name=header.get("name") or "journal",
                    source=path)
@@ -144,19 +152,19 @@ class SessionSpec:
             " solo" if self.solo else "")
 
 
-class FleetSession:
-    """One live session: spec + applications + private telemetry."""
+class FleetSession(Session):
+    """One live session: a :class:`~repro.obs.replay.Session` over the
+    cell's server, plus private telemetry and scheduler state."""
 
     def __init__(self, sid: str, spec: SessionSpec, server,
                  pump_budget: int = 0):
+        # Recording sessions always pump to quiescence so their journal
+        # replays identically.
+        super().__init__(server, spec.flags, transport=spec.transport,
+                         pump_budget=0 if spec.record_path is not None
+                         else pump_budget)
         self.sid = sid
         self.spec = spec
-        self.server = server
-        #: events per budgeted pump; 0 pumps to quiescence.  Recording
-        #: sessions always pump to quiescence so their journal replays
-        #: through :func:`repro.obs.replay.apply_input` identically.
-        self.pump_budget = 0 if spec.record_path is not None \
-            else pump_budget
         self.status = ACTIVE
         self.metrics = MetricsRegistry()
         self._m_dispatch = self.metrics.histogram(
@@ -172,12 +180,8 @@ class FleetSession:
         #: phase bracket is three attribute reads, not registry lookups
         self._m_batch_ticks = server.obs.metrics.counter(
             "x11.requests", type="batch")
-        self.apps: List = []
-        self.main_app = None
         self.plan: Optional[FaultPlan] = None
-        self.journal = None
         self._cursor = 0
-        self._pump_app = None
         self.finished = False
 
     # -- lifecycle -----------------------------------------------------
@@ -193,22 +197,15 @@ class FleetSession:
             # same faults standalone.
             self.journal = start_recording(
                 self.server, name=spec.name, script=spec.setup_script,
-                maxlen=RECORD_RING, fault_plan=plan, **spec.flags)
+                flags=spec.flags, maxlen=RECORD_RING, fault_plan=plan)
             self.plan = plan
         elif spec.fault_spec is not None:
             self.plan = self.server.install_fault_plan(
                 FaultPlan.from_spec(spec.fault_spec))
-        try:
-            self.main_app = _build_app(
-                self.server, spec.name, spec.setup_script, spec.flags,
-                transport=spec.transport)
-        except Exception:
-            # A fault plan can kill construction; the session then runs
-            # its steps app-less, exactly as record_session does.
-            self.main_app = None
-            self._m_errors.value += 1
-        if self.main_app is not None:
-            self.apps.append(self.main_app)
+        # A fault plan can kill construction; the session then runs
+        # its steps app-less, exactly as record_session does.
+        super().launch(spec.name, spec.setup_script)
+        self._count_errors()
 
     def step(self) -> bool:
         """Run this session's next unit of work; False when idle.
@@ -219,10 +216,11 @@ class FleetSession:
         """
         if self.finished:
             return False
-        if self._pump_app is not None:
-            app, self._pump_app = self._pump_app, None
+        if self.pending_pump is not None:
+            app, self.pending_pump = self.pending_pump, None
             begin = self._phase_begin()
-            self._pump(app)
+            self._m_events.value += self.pump(app)
+            self._count_errors()
             self._m_dispatch.observe(self._phase_end(begin))
             return True
         if self._cursor >= len(self.spec.steps):
@@ -235,11 +233,17 @@ class FleetSession:
     def run_input(self, kind: str, args: list) -> None:
         """Execute one input, observing its virtual-time latency."""
         begin = self._phase_begin()
-        try:
-            self._execute(kind, list(args))
-        finally:
-            self._m_steps.value += 1
-            self._m_dispatch.observe(self._phase_end(begin))
+        self._m_events.value += self.apply(kind, args)
+        self._m_steps.value += 1
+        self._count_errors()
+        self._m_dispatch.observe(self._phase_end(begin))
+
+    def _count_errors(self) -> None:
+        """Book swallowed exceptions as ``fleet.errors``, so none
+        outlives the step that raised it."""
+        if self.swallowed:
+            self._m_errors.value += len(self.swallowed)
+            self.swallowed.clear()
 
     def _phase_begin(self):
         """Snapshot the clock and server work counters around one
@@ -264,15 +268,11 @@ class FleetSession:
         return clock_ms
 
     def finish(self) -> None:
-        """Close out: save the recording, fold application telemetry
-        into the session registry, release the applications."""
+        """Close out: fold application telemetry into the session
+        registry, release the applications, save the recording."""
         if self.finished:
             return
         self.finished = True
-        if self.journal is not None:
-            self.server.detach_journal()
-            self.journal.close_sink()
-            self.journal.save(self.spec.record_path)
         died = self.main_app is None or self.main_app.destroyed
         injected = self.plan is not None and self.plan.total_injected > 0
         self.status = FAULTED if (died or injected) else COMPLETED
@@ -281,91 +281,10 @@ class FleetSession:
             # and the rollup must not double-count the shared server
             # registry each app mounts.
             self.metrics.merge(app.obs.metrics, include_mounts=False)
-        for app in self.apps:
-            if not app.destroyed:
-                try:
-                    app.destroy()
-                except Exception:
-                    # A still-armed fault plan may inject into the
-                    # teardown requests themselves.
-                    self._m_errors.value += 1
-
-    # -- the input executor (mirrors repro.obs.replay.apply_input) -----
-
-    def _execute(self, kind: str, args: list) -> None:
-        server = self.server
-        if kind == "new_app":
-            if self.journal is not None:
-                self.journal.input("new_app", tuple(args))
-            try:
-                app = _build_app(server, args[0],
-                                 args[1] if len(args) > 1 else "",
-                                 self.spec.flags,
-                                 transport=self.spec.transport)
-                self.apps.append(app)
-            except Exception:
-                self._m_errors.value += 1
-            return
-        if kind == "update":
-            if self.journal is not None:
-                self.journal.input("update", tuple(args))
-            self._pump(self._own_app(args))
-            return
-        if kind == "advance":
-            if self.journal is not None:
-                self.journal.input("advance", tuple(args))
-            if args[0] > server.time_ms:
-                server.time_ms = args[0]
-            self._pump(self._own_app(args[1:]))
-            return
-        if kind == "eval":
-            if self.journal is not None:
-                self.journal.input("eval", tuple(args))
-            app = self._own_app(args[1:])
-            if app is not None:
-                try:
-                    app.interp.eval_top(args[0])
-                except Exception:
-                    self._m_errors.value += 1
-            self._pump(app)
-            return
-        # Raw device input; the server's own hooks journal it.  With
-        # socket-backed sessions in the cell, the injection must run on
-        # the server thread (which also drains client output mid-call).
-        host = getattr(server, "_wire_host", None)
-        try:
-            if host is not None and host.running:
-                host.inject(kind, *args)
-            else:
-                getattr(server, kind)(*args)
-        except Exception:
-            # An injected fault at the input's own request tick.
-            self._m_errors.value += 1
-
-    def _own_app(self, args: list):
-        """Resolve an input's target among this session's apps only."""
-        if args:
-            for app in self.apps:
-                if app.name == args[0] and not app.destroyed:
-                    return app
-        return self.main_app
-
-    def _pump(self, app) -> None:
-        if app is None or app.destroyed:
-            return
-        try:
-            if self.pump_budget:
-                processed = app.dispatcher.do_events(self.pump_budget)
-                if processed == self.pump_budget:
-                    # Budget exhausted with work pending: ask the
-                    # scheduler for another visit before the next input.
-                    self._pump_app = app
-            else:
-                processed = app.update()
-        except Exception:
-            self._m_errors.value += 1
-            processed = 0
-        self._m_events.value += processed
+        self.close()
+        self._count_errors()
+        if self.journal is not None:
+            self.journal.save(self.spec.record_path)
 
     # -- reads ---------------------------------------------------------
 

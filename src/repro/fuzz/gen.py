@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
+from ..obs.journal import Flags
 from ..widgets import WIDGET_TYPES
 
 #: Setup script evaluated in every application (main and extra): a
@@ -68,14 +69,14 @@ class Scenario:
 
     def __init__(self, seed: int, steps: List[Tuple[str, list]],
                  setup_script: str = SETUP_SCRIPT,
-                 flags: Optional[dict] = None,
+                 flags: Flags = Flags(),
                  fault_spec: Optional[dict] = None,
                  planted: Optional[str] = None,
                  name: str = "fuzz"):
         self.seed = seed
         self.steps = [(kind, list(args)) for kind, args in steps]
         self.setup_script = setup_script
-        self.flags = dict(flags or {})
+        self.flags = flags
         self.fault_spec = fault_spec
         self.planted = planted
         self.name = name
@@ -136,14 +137,10 @@ def _fault_spec(rng: random.Random) -> Optional[dict]:
     return spec
 
 
-def _flags(rng: random.Random) -> dict:
-    flags = {}
-    if rng.random() < 0.2:
-        flags["cache_enabled"] = False
-    if rng.random() < 0.2:
-        flags["compile_enabled"] = False
-    if rng.random() < 0.1:
-        flags["buffering_enabled"] = False
+def _flags(rng: random.Random) -> Flags:
+    flags = Flags(cache_enabled=rng.random() >= 0.2,
+                  compile_enabled=rng.random() >= 0.2,
+                  buffering_enabled=rng.random() >= 0.1)
     # A removed flag's draw, kept so each seed keeps its scenario.
     rng.random()
     return flags

@@ -1,30 +1,27 @@
 """Drive fuzz scenarios through the real TkApp/XServer stack.
 
 The runner is deliberately a thin composition of existing machinery:
-:func:`repro.obs.replay.start_recording` attaches the journal,
-:func:`repro.obs.replay.apply_input` executes every step (the *same*
-executor :func:`replay_journal` uses, so recording and replay cannot
-drift apart), and :mod:`repro.fuzz.oracles` checks the invariants
-after each step.  A scenario's journal is its durable form — see
+:func:`repro.obs.replay.start_recording` attaches the journal, a
+:class:`repro.obs.replay.Session` journals and executes every step
+(the *same* executor :func:`replay_journal` and the fleet use, so
+recording and replay cannot drift apart), and
+:mod:`repro.fuzz.oracles` checks the invariants after each step.  A
+scenario's journal is its durable form — see
 :func:`scenario_from_journal` for the inverse.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..obs.journal import Journal
-from ..obs.replay import _build_app, apply_input, start_recording
+from ..obs.replay import Session, start_recording
 from . import oracles
 from .gen import Scenario
 
 #: Journal ring size for fuzz sessions — large enough that no session
 #: wraps (a wrapped ring would break the byte-identity oracle).
 FUZZ_RING = 262144
-
-#: Input kinds the runner journals itself (raw device inputs are
-#: journaled by the server's own hooks).
-LOOP_KINDS = ("update", "advance", "eval", "new_app")
 
 
 class FuzzResult:
@@ -81,48 +78,33 @@ def run_scenario(scenario: Scenario, stop_on_violation: bool = True,
             FaultPlan.from_spec(scenario.fault_spec))
     journal = start_recording(
         server, name=scenario.name, script=scenario.setup_script,
-        maxlen=FUZZ_RING, fault_plan=scenario.fault_spec,
-        planted=scenario.planted, **scenario.flags)
-    flags = scenario.flags
+        flags=scenario.flags, maxlen=FUZZ_RING,
+        fault_plan=scenario.fault_spec, planted=scenario.planted)
+    session = Session(server, scenario.flags, journal=journal)
     violations: List[oracles.Violation] = []
-    app_clients: Dict[str, int] = {}
     faulted = plan is not None
     disconnected = plan.disconnected_clients if plan is not None \
         else set()
     steps_run = 0
     try:
-        try:
-            app = _build_app(server, scenario.name,
-                             scenario.setup_script, flags)
-        except Exception as error:
-            app = None
+        if session.launch(scenario.name, scenario.setup_script) is None:
             violations.extend(oracles.classify_swallowed(
-                [("new_app", error)], -1, faulted))
-        if app is not None:
-            app_clients[app.name] = app.display.client.number
+                session.swallowed, -1, faulted))
+        else:
             for index, (kind, args) in enumerate(scenario.steps):
                 steps_run = index + 1
-                swallowed: list = []
-                args = list(args)
-                if kind in LOOP_KINDS:
-                    journal.input(kind, args)
-                created = apply_input(server, app, kind, args,
-                                      flags=flags, swallowed=swallowed)
-                if created is not None:
-                    app_clients[created.name] = \
-                        created.display.client.number
+                session.apply(kind, args)
+                app_clients = {app.name: app.display.client.number
+                               for app in session.apps}
                 violations.extend(oracles.classify_swallowed(
-                    swallowed, index, faulted))
+                    session.swallowed, index, faulted))
+                session.swallowed.clear()
                 violations.extend(oracles.check_census(
                     server, index, disconnected, app_clients))
                 if violations and stop_on_violation:
                     break
     finally:
-        server.detach_journal()
-        journal.close_sink()
-        for extra in list(getattr(server, "apps", [])):
-            if not extra.destroyed:
-                extra.destroy()
+        session.close()
     violations.extend(oracles.check_dead_client_requests(journal))
     if check_replay and not violations:
         violations.extend(oracles.check_replay_identity(journal))
@@ -148,7 +130,7 @@ def scenario_from_journal(journal: Journal) -> Scenario:
     return Scenario(
         seed=0, steps=steps,
         setup_script=header.get("script") or "",
-        flags=dict(header.get("flags") or {}),
+        flags=journal.flags,
         fault_spec=header.get("fault_plan"),
         planted=header.get("planted"),
         name=header.get("name") or "fuzz")

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 #: Default capacity of the in-memory entry ring.
@@ -52,6 +53,32 @@ FORMAT_VERSION = 1
 INPUT_KINDS = ("warp_pointer", "press_button", "release_button",
                "press_key", "release_key", "update", "advance", "eval",
                "new_app")
+
+
+@dataclass(frozen=True)
+class Flags:
+    """The ablation switches one session runs under; every one is on
+    unless a journal header (or the caller) turns it off."""
+
+    cache_enabled: bool = True
+    compile_enabled: bool = True
+    buffering_enabled: bool = True
+
+    def as_dict(self) -> Dict[str, bool]:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Optional[dict]) -> "Flags":
+        """The header form back; a key this build does not know (a
+        retired flag, a typo) is an error, never silently dropped."""
+        data = data or {}
+        known = {field.name for field in fields(cls)}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ValueError("unknown session flag(s): %s (known: %s)"
+                             % (", ".join(unknown),
+                                ", ".join(sorted(known))))
+        return cls(**{key: bool(value) for key, value in data.items()})
 
 
 def _encode(entry: Dict[str, object]) -> str:
@@ -112,9 +139,7 @@ class Journal:
     # -- recording ------------------------------------------------------
 
     def set_header(self, name: str = "", script: str = "",
-                   cache_enabled: bool = True,
-                   compile_enabled: bool = True,
-                   buffering_enabled: bool = True,
+                   flags: Flags = Flags(),
                    fault_plan: Optional[dict] = None,
                    planted: Optional[str] = None) -> None:
         """Record session metadata; embedded so journals are
@@ -126,10 +151,7 @@ class Journal:
         to reproduce."""
         self.meta = {
             "k": "header", "v": FORMAT_VERSION, "name": name,
-            "script": script,
-            "flags": {"cache_enabled": bool(cache_enabled),
-                      "compile_enabled": bool(compile_enabled),
-                      "buffering_enabled": bool(buffering_enabled)},
+            "script": script, "flags": flags.as_dict(),
         }
         if fault_plan is not None:
             self.meta["fault_plan"] = fault_plan
@@ -212,6 +234,12 @@ class Journal:
             self._sink = None
 
     # -- reads ----------------------------------------------------------
+
+    @property
+    def flags(self) -> Flags:
+        """The header's ablation flags (all on for a headerless
+        journal); raises ValueError on a flag this build lacks."""
+        return Flags.from_dict(self.meta.get("flags"))
 
     def __len__(self) -> int:
         return len(self.ring)
@@ -324,5 +352,5 @@ class Journal:
         return head + json.dumps(entry, sort_keys=True)
 
 
-__all__ = ["Journal", "JOURNAL_RING", "FORMAT_VERSION", "INPUT_KINDS",
+__all__ = ["Journal", "Flags", "JOURNAL_RING", "FORMAT_VERSION", "INPUT_KINDS",
            "args_digest"]

@@ -13,6 +13,13 @@ implementation replays with **zero divergence**, which turns any
 captured session (a bug report, a perf regression, the checked-in
 golden session under ``examples/``) into a regression test.
 
+One executor, :class:`Session`, runs journal inputs everywhere: the
+recorder (:func:`record_session`), the replay, the fuzz runner and the
+fleet's sessions all drive their inputs through :meth:`Session.apply`,
+so they journal, target applications and swallow errors identically.
+A journal header's ablation switches travel as one
+:class:`~repro.obs.journal.Flags` value.
+
 Ablation modes: the wire is *expected* to be invariant under the
 compile-once ablation (``compile_enabled`` trades CPU, not traffic),
 expected to differ only in resource-allocation requests under the
@@ -35,9 +42,10 @@ from __future__ import annotations
 
 import io
 import sys
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .journal import Journal
+from .journal import Flags, Journal
 
 #: Request types the resource cache (§3.3) exists to eliminate — the
 #: expected wire delta of replaying a capture with ``cache_enabled``
@@ -55,7 +63,7 @@ BUFFER_REQUESTS = frozenset((
     "draw_string", "sync",
 ))
 
-#: mode -> (TkApp/Interp flag overrides, comparison policy, the
+#: mode -> (the flag the mode switches off, comparison policy, the
 #: request types the ablation is allowed to perturb).
 #:
 #: * ``exact``    — request streams must match element for element;
@@ -64,19 +72,19 @@ BUFFER_REQUESTS = frozenset((
 #: * ``counts``   — per-type totals must match outside the allowed
 #:   types (ordering is the ablation's to change).
 MODES: Dict[str, dict] = {
-    "default":       {"flags": {}, "compare": "exact",
+    "default":       {"off": None, "compare": "exact",
                       "allowed": frozenset()},
-    "compile_off":   {"flags": {"compile_enabled": False},
+    "compile_off":   {"off": "compile_enabled",
                       "compare": "exact", "allowed": frozenset()},
     # Cache misses are reply-bearing requests, and every reply-bearing
     # request is an auto-flush point: turning the cache off therefore
     # also moves batch boundaries and defeats some coalescing, so the
     # allowed set is the union of both ablations' request types and the
     # comparison is per-type counts.
-    "cache_off":     {"flags": {"cache_enabled": False},
+    "cache_off":     {"off": "cache_enabled",
                       "compare": "counts",
                       "allowed": CACHE_REQUESTS | BUFFER_REQUESTS},
-    "buffering_off": {"flags": {"buffering_enabled": False},
+    "buffering_off": {"off": "buffering_enabled",
                       "compare": "counts", "allowed": BUFFER_REQUESTS},
 }
 
@@ -216,9 +224,7 @@ def _context(recorded: List[Tuple], replayed: List[Tuple],
 # ----------------------------------------------------------------------
 
 def start_recording(server, name: str = "session", script: str = "",
-                    cache_enabled: bool = True,
-                    compile_enabled: bool = True,
-                    buffering_enabled: bool = True,
+                    flags: Flags = Flags(),
                     sink: Optional[str] = None,
                     maxlen: Optional[int] = None,
                     fault_plan=None,
@@ -242,10 +248,7 @@ def start_recording(server, name: str = "session", script: str = "",
     journal = Journal(clock=lambda: server.time_ms,
                       maxlen=maxlen if maxlen is not None
                       else JOURNAL_RING, sink=sink)
-    journal.set_header(name=name, script=script,
-                       cache_enabled=cache_enabled,
-                       compile_enabled=compile_enabled,
-                       buffering_enabled=buffering_enabled,
+    journal.set_header(name=name, script=script, flags=flags,
                        fault_plan=fault_spec, planted=planted)
     journal.open_sink()
     server.attach_journal(journal)
@@ -254,9 +257,7 @@ def start_recording(server, name: str = "session", script: str = "",
 
 def record_session(script: str, steps: List[Tuple],
                    name: str = "session",
-                   cache_enabled: bool = True,
-                   compile_enabled: bool = True,
-                   buffering_enabled: bool = True,
+                   flags: Flags = Flags(),
                    sink: Optional[str] = None,
                    fault_plan=None,
                    planted: Optional[str] = None) -> Journal:
@@ -267,159 +268,203 @@ def record_session(script: str, steps: List[Tuple],
     — tuples like ``("warp_pointer", x, y)``, ``("press_button", 1)``,
     ``("press_key", "a")``, ``("update",)``, ``("eval", tclscript)``,
     ``("new_app", name, setupscript)`` — recording everything.  The
-    same drive logic replays the journal (:func:`replay_journal`), so
-    record and replay are symmetric by construction.
+    steps run through the :class:`Session` executor that replays the
+    journal (:func:`replay_journal`), so record and replay are
+    symmetric by construction.
+
+    A failing ``new_app`` step is part of the recorded session; any
+    other failing step (or setup script) raises, since a recording of
+    a broken script is a bug in the caller, not a session.
     """
     from ..x11.xserver import XProtocolError, XServer
 
     server = XServer()
     journal = start_recording(server, name=name, script=script,
-                              cache_enabled=cache_enabled,
-                              compile_enabled=compile_enabled,
-                              buffering_enabled=buffering_enabled,
-                              sink=sink, fault_plan=fault_plan,
-                              planted=planted)
-    flags = {"cache_enabled": cache_enabled,
-             "compile_enabled": compile_enabled,
-             "buffering_enabled": buffering_enabled}
+                              flags=flags, sink=sink,
+                              fault_plan=fault_plan, planted=planted)
+    session = Session(server, flags, journal=journal)
     try:
-        app = _build_app(server, name, script, flags)
-    except XProtocolError:
-        # A header fault plan can kill construction itself; the
-        # journal (and its replay) must survive that, so record the
-        # session as one with no application.  Anything else — a
-        # broken setup script — still surfaces to the caller.
-        if fault_plan is None:
-            server.detach_journal()
-            journal.close_sink()
-            raise
-        app = None
-    try:
+        session.launch(name, script)
+        for _, error in session.swallowed:
+            # A header fault plan can kill construction itself; the
+            # journal (and its replay) must survive that, so record
+            # the session as one with no application.
+            if fault_plan is None or not isinstance(error,
+                                                    XProtocolError):
+                raise error
         for step in steps:
-            kind, args = step[0], tuple(step[1:])
-            if kind == "update":
-                journal.input("update", (name,))
-                if app is not None:
-                    app.update()
-            elif kind == "advance":
-                journal.input("advance", (args[0], name))
-                if args[0] > server.time_ms:
-                    server.time_ms = args[0]
-                if app is not None:
-                    app.update()
-            elif kind == "eval":
-                journal.input("eval", (args[0], name))
-                if app is not None:
-                    app.interp.eval_top(args[0])
-                    app.update()
-            elif kind == "new_app":
-                journal.input("new_app", args)
-                apply_input(server, app, "new_app", list(args),
-                            flags=flags)
-            else:
-                # Server input injection: the xserver hooks record it.
-                getattr(server, kind)(*args)
+            session.swallowed.clear()
+            session.apply(*_step_input(step, name))
+            for stage, error in session.swallowed:
+                if stage != "new_app":
+                    raise error
     finally:
-        server.detach_journal()
-        journal.close_sink()
-        for extra in list(getattr(server, "apps", [])):
-            if not extra.destroyed:
-                extra.destroy()
-        if app is not None and not app.destroyed:
-            app.destroy()
+        session.close()
     return journal
 
 
-def apply_input(server, default_app, name: str, args: List,
-                flags: Optional[dict] = None,
-                swallowed: Optional[List] = None,
-                transport=None):
-    """Execute one journal input against a live server/application set.
+def _step_input(step: Tuple, name: str) -> Tuple[str, list]:
+    """A :func:`record_session` step as a journal input: loop-level
+    steps address the main application ``name``."""
+    kind, args = step[0], list(step[1:])
+    if kind == "update":
+        args = [name]
+    elif kind in ("advance", "eval"):
+        args = [args[0], name]
+    return kind, args
 
-    The same executor drives both sides: the fuzz runner journals an
-    input and then applies it through here, and :func:`replay_journal`
-    applies the recorded inputs through here — so the two runs have
-    identical error semantics by construction.  An exception raised by
-    a top-level ``eval``, a fault injected at an input's own request
-    tick, or an error escaping an event-loop pump is appended to
-    ``swallowed`` (when given) as ``(stage, exception)`` and the
-    session continues; the wire diff, not the exception, arbitrates
-    divergence.  Returns the new application for ``new_app`` inputs,
-    else ``None``.
+
+#: Input kinds the session executor handles itself (and journals);
+#: every other input kind is a raw device input for the server.
+_LOOP_INPUTS = frozenset(("update", "advance", "eval", "new_app"))
+
+
+class Session:
+    """The one executor of journal inputs.
+
+    Recording, replay, the fuzz runner and every fleet session drive
+    their inputs through :meth:`apply`, which writes loop-level inputs
+    to :attr:`journal` (raw device inputs journal themselves in the
+    server).  :attr:`apps` is every application that registered on the
+    server while one of this session's builds ran, even one whose
+    constructor or setup script then raised; on a private server it
+    equals ``server.apps``, on a shared fleet cell it holds this
+    session's applications only.  Inputs find their target by name in
+    it, and :meth:`close` destroys all of it.  Exceptions from builds,
+    top-level evals, injections, pumps and teardown land in
+    :attr:`swallowed` as ``(stage, exception)``; the caller decides
+    what they mean.  With a ``pump_budget`` a pump handles at most that
+    many events and leaves an unfinished application in
+    :attr:`pending_pump`, owed another :meth:`pump`.
     """
-    if name == "new_app":
-        app_name = args[0]
-        script = args[1] if len(args) > 1 else ""
+
+    def __init__(self, server, flags: Flags = Flags(), transport=None,
+                 journal: Optional[Journal] = None,
+                 pump_budget: int = 0):
+        self.server = server
+        self.flags = flags
+        #: how built applications reach the server (see
+        #: :func:`repro.x11.transport.resolve_transport`)
+        self.transport = transport
+        self.journal = journal
+        self.pump_budget = pump_budget
+        self.apps: List = []
+        self.main_app = None
+        self.swallowed: List[Tuple[str, BaseException]] = []
+        self.pending_pump = None
+
+    def build_app(self, name: str, script: str = "",
+                  setup: Optional[Callable] = None):
+        """Build one application from :attr:`flags` and ``script``, or
+        with ``setup(session)``; returns it, or None if it raised."""
+        known = list(getattr(self.server, "apps", ()))
         try:
-            return _build_app(server, app_name, script, flags,
-                              transport=transport)
+            if setup is not None:
+                return setup(self)
+            return _build_app(self.server, name, script, self.flags,
+                              transport=self.transport)
         except Exception as error:
-            if swallowed is not None:
-                swallowed.append(("new_app", error))
+            self.swallowed.append(("new_app", error))
             return None
-    if name == "update":
-        _pump(_app_named(server, default_app, args), swallowed)
-        return None
-    if name == "advance":
-        when = args[0]
-        if when > server.time_ms:
-            server.time_ms = when
-        _pump(_app_named(server, default_app, args[1:]), swallowed)
-        return None
-    if name == "eval":
-        app = _app_named(server, default_app, args[1:])
-        if app is not None:
+        finally:
+            self.apps += [app for app in getattr(self.server, "apps", ())
+                          if app not in known]
+
+    def launch(self, name: str, script: str = "",
+               setup: Optional[Callable] = None):
+        """Build the main application (the target of inputs that name
+        no application of this session)."""
+        self.main_app = self.build_app(name, script, setup)
+        return self.main_app
+
+    def apply(self, kind: str, args: list) -> int:
+        """Execute one journal input; returns the events pumped."""
+        if kind not in _LOOP_INPUTS:
+            self._inject(kind, args)
+            return 0
+        if self.journal is not None:
+            self.journal.input(kind, args)
+        if kind == "new_app":
+            self.build_app(args[0], args[1] if len(args) > 1 else "")
+            return 0
+        if kind == "update":
+            return self.pump(self._target(args, 0))
+        app = self._target(args, 1)
+        if kind == "advance":
+            if args[0] > self.server.time_ms:
+                self.server.time_ms = args[0]
+        elif app is not None:
             try:
                 app.interp.eval_top(args[0])
             except Exception as error:
-                if swallowed is not None:
-                    swallowed.append(("eval", error))
-        _pump(app, swallowed)
-        return None
-    # Server input injection: the xserver hooks journal it themselves.
-    # With a thread-hosted server (socket transports) the injection
-    # must run on the server thread, which also services the clients'
-    # mid-call output flushes.
-    host = getattr(server, "_wire_host", None)
-    try:
-        if host is not None and host.running:
-            host.inject(name, *args)
-        else:
-            getattr(server, name)(*args)
-    except Exception as error:
-        # A fault plan may fire at the input's own request tick; the
-        # input is already on the record, so both sides must survive
-        # the same injection.
-        if swallowed is not None:
-            swallowed.append(("inject", error))
-    return None
+                self.swallowed.append(("eval", error))
+        return self.pump(app)
 
+    def pump(self, app) -> int:
+        """Run ``app``'s event loop; returns the events processed."""
+        if app is None or app.destroyed:
+            return 0
+        try:
+            if not self.pump_budget:
+                return app.update()
+            processed = app.dispatcher.do_events(self.pump_budget)
+        except Exception as error:
+            self.swallowed.append(("pump", error))
+            return 0
+        if processed == self.pump_budget:
+            self.pending_pump = app
+        return processed
 
-def _pump(app, swallowed: Optional[List]) -> None:
-    """Run one application's event loop to quiescence, capturing any
-    escape (an escape is itself an oracle violation — see
-    :mod:`repro.fuzz.oracles` — but must not abort the session)."""
-    if app is None or app.destroyed:
-        return
-    try:
-        app.update()
-    except Exception as error:
-        if swallowed is not None:
-            swallowed.append(("pump", error))
+    def close(self) -> None:
+        """Stop journaling, then destroy every application this
+        session owns."""
+        if self.journal is not None:
+            self.server.detach_journal()
+            self.journal.close_sink()
+        for app in self.apps:
+            if not app.destroyed:
+                try:
+                    app.destroy()
+                except Exception as error:
+                    # A still-armed fault plan may inject into the
+                    # teardown requests themselves.
+                    self.swallowed.append(("close", error))
+
+    def _target(self, args: list, index: int):
+        """The live application of this session that ``args[index]``
+        names; the main application when there is no such name."""
+        if len(args) > index:
+            for app in self.apps:
+                if app.name == args[index] and not app.destroyed:
+                    return app
+        return self.main_app
+
+    def _inject(self, kind: str, args: list) -> None:
+        # Raw device input; the server's hooks journal it.  With a
+        # thread-hosted server (socket transports) the injection must
+        # run on the server thread, which also services the clients'
+        # mid-call output flushes.
+        host = getattr(self.server, "_wire_host", None)
+        try:
+            if host is not None and host.running:
+                host.inject(kind, *args)
+            else:
+                getattr(self.server, kind)(*args)
+        except Exception as error:
+            self.swallowed.append(("inject", error))
 
 
 def _build_app(server, name: str, script: str,
-               flags: Optional[dict] = None, transport=None):
-    """Build one application from a journal header's (or session
-    spec's) ablation ``flags``; every flag a dict omits is on."""
+               flags: Flags = Flags(), transport=None):
+    """Build one application under ``flags``, run its setup
+    ``script`` and pump it once."""
     from ..tcl.interp import Interp
     from ..tk.app import TkApp
-    flags = flags or {}
-    interp = Interp(compile_enabled=flags.get("compile_enabled", True))
+    interp = Interp(compile_enabled=flags.compile_enabled)
     interp.stdout = io.StringIO()
     app = TkApp(server, name=name, interp=interp,
-                cache_enabled=flags.get("cache_enabled", True),
-                buffering_enabled=flags.get("buffering_enabled", True),
+                cache_enabled=flags.cache_enabled,
+                buffering_enabled=flags.buffering_enabled,
                 transport=transport)
     if script:
         app.interp.eval_top(script)
@@ -441,29 +486,32 @@ def replay_journal(journal: Journal, mode: str = "default",
     ``mode`` selects the ablation flags and comparison policy from
     :data:`MODES`.  The setup script comes from the journal header
     unless ``script`` overrides it; ``setup`` (a callable taking the
-    fresh server and returning the driver app) replaces script-based
-    construction entirely for Python-driven sessions.  ``transport``
-    chooses how the rebuilt applications reach the server (None /
-    ``"loopback"`` / ``"socket"`` / a factory callable — see
-    :func:`repro.x11.transport.resolve_transport`); the wire stream is
-    transport-invariant, so a journal recorded in-process must replay
-    cleanly over a socket.
+    replay's :class:`Session` and returning the driver app) replaces
+    script-based construction entirely for Python-driven sessions.
+    ``transport`` chooses how the rebuilt applications reach the
+    server (None / ``"loopback"`` / ``"socket"`` / a factory callable
+    — see :func:`repro.x11.transport.resolve_transport`); the wire
+    stream is transport-invariant, so a journal recorded in-process
+    must replay cleanly over a socket.
 
     If the header embeds a serialized fault plan, an identical plan is
     installed on the fresh server before the application is built, so
     recorded faults re-fire at the same request ticks.  The result
     carries the replay's own journal at ``result.replay_log`` (the
-    byte-identity oracle compares ``to_jsonl()`` of both sides).
+    byte-identity oracle compares ``to_jsonl()`` of both sides).  A
+    header flag this build does not know raises ValueError.
     """
+    from ..x11.transport import shutdown_host
     from ..x11.xserver import XServer
 
     if mode not in MODES:
         raise ValueError('unknown replay mode "%s" (choose from %s)'
                          % (mode, ", ".join(sorted(MODES))))
     policy = MODES[mode]
+    flags = journal.flags
+    if policy["off"]:
+        flags = replace(flags, **{policy["off"]: False})
     header = journal.meta or {}
-    flags = dict(header.get("flags") or {})
-    flags.update(policy["flags"])
     if script is None:
         script = header.get("script") or ""
     name = header.get("name") or "replay"
@@ -478,57 +526,27 @@ def replay_journal(journal: Journal, mode: str = "default",
     # Pass the original spec dict through verbatim so a default-mode
     # replay's header — and therefore its whole JSONL — can match the
     # recording byte for byte.
-    replay_log.set_header(name=name, script=script,
+    replay_log.set_header(name=name, script=script, flags=flags,
                           fault_plan=fault_spec,
-                          planted=header.get("planted"), **flags)
+                          planted=header.get("planted"))
     server.attach_journal(replay_log)
-    swallowed: List[Tuple[str, BaseException]] = []
-    if setup is not None:
-        app = setup(server)
-    else:
-        try:
-            app = _build_app(server, name, script, flags,
-                             transport=transport)
-        except Exception as error:
-            # A header fault plan can fire during construction itself;
-            # the recording survived that, so the replay must too.
-            app = None
-            swallowed.append(("new_app", error))
+    session = Session(server, flags, transport=transport,
+                      journal=replay_log)
     try:
+        # A header fault plan can fire during construction itself; the
+        # recording survived that, so the replay must too.
+        session.launch(name, script, setup)
         for input_name, args in journal.inputs():
-            if input_name in ("update", "advance", "eval", "new_app"):
-                # Raw device inputs re-journal themselves inside the
-                # server; loop-level inputs must be re-recorded here so
-                # a default-mode replay log is entry-for-entry
-                # comparable with the recording (the fuzzer's
-                # byte-identity oracle).
-                replay_log.input(input_name, args)
-            apply_input(server, app, input_name, args, flags=flags,
-                        swallowed=swallowed, transport=transport)
+            session.apply(input_name, args)
     finally:
-        server.detach_journal()
-        for extra in list(getattr(server, "apps", [])):
-            if not extra.destroyed:
-                extra.destroy()
-        if app is not None and not app.destroyed:
-            app.destroy()
-        from ..x11.transport import shutdown_host
+        session.close()
         shutdown_host(server)
     result = ReplayResult(mode, journal.wire(), replay_log.wire(),
                           policy["compare"], policy["allowed"],
                           truncated=journal.dropped > 0)
     result.replay_log = replay_log
-    result.swallowed = swallowed
+    result.swallowed = session.swallowed
     return result
-
-
-def _app_named(server, default_app, args):
-    """Resolve an input entry's application by registered send name."""
-    if args:
-        for app in getattr(server, "apps", []):
-            if app.name == args[0] and not app.destroyed:
-                return app
-    return default_app
 
 
 def replay_all_modes(journal: Journal,
@@ -589,4 +607,4 @@ if __name__ == "__main__":  # pragma: no cover
 
 __all__ = ["MODES", "CACHE_REQUESTS", "BUFFER_REQUESTS", "ReplayResult",
            "start_recording", "record_session", "replay_journal",
-           "replay_all_modes", "apply_input", "main"]
+           "replay_all_modes", "Session", "main"]

@@ -147,16 +147,18 @@ def _journal(interp, obs, argv: List[str]) -> str:
             # journal (it may be a harness-attached background one).
             server.detach_journal()
             server.journal.close_sink()
+        from ...obs.journal import Flags
         from ...obs.replay import start_recording
         app = getattr(interp, "tk_app", None)
         start_recording(
             server,
             name=app.name if app is not None else "session",
-            cache_enabled=(app.cache.enabled if app is not None
-                           else True),
-            compile_enabled=getattr(interp, "compile_enabled", True),
-            buffering_enabled=(app.display.buffering_enabled
-                               if app is not None else True),
+            flags=Flags(
+                cache_enabled=(app.cache.enabled if app is not None
+                               else True),
+                compile_enabled=getattr(interp, "compile_enabled", True),
+                buffering_enabled=(app.display.buffering_enabled
+                                   if app is not None else True)),
             sink=sink)
         return ""
     journal = server.journal

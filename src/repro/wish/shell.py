@@ -15,6 +15,7 @@ from __future__ import annotations
 import sys
 from typing import List, Optional
 
+from ..obs.journal import Flags
 from ..tcl.errors import TclError
 from ..tcl.lists import format_list
 from ..tk.app import TkApp
@@ -29,15 +30,13 @@ class Wish:
                  name: str = "wish", stdout=None,
                  registry: Optional[ProcessRegistry] = None,
                  argv: Optional[List[str]] = None,
-                 cache_enabled: bool = True,
-                 compile_enabled: bool = True,
-                 buffering_enabled: bool = True):
+                 flags: Flags = Flags()):
         self.server = server if server is not None else XServer()
         from ..tcl.interp import Interp
-        interp = Interp(compile_enabled=compile_enabled)
+        interp = Interp(compile_enabled=flags.compile_enabled)
         self.app = TkApp(self.server, name=name, interp=interp,
-                         cache_enabled=cache_enabled,
-                         buffering_enabled=buffering_enabled)
+                         cache_enabled=flags.cache_enabled,
+                         buffering_enabled=flags.buffering_enabled)
         self.interp = self.app.interp
         self.interp.stdout = stdout if stdout is not None else sys.stdout
         self.registry = registry if registry is not None \
@@ -188,13 +187,11 @@ def _replay_main(path: str, modes: List[str]) -> int:
                 'wish: unknown replay mode "%s" (choose from %s)\n'
                 % (mode, ", ".join(sorted(MODES))))
             return 2
-        flags = dict(header.get("flags") or {})
-        flags.update(MODES[mode]["flags"])
 
-        def setup(server):
-            shell = Wish(server=server,
+        def setup(session):
+            shell = Wish(server=session.server,
                          name=header.get("name") or "wish",
-                         stdout=_io.StringIO(), **flags)
+                         stdout=_io.StringIO(), flags=session.flags)
             script = header.get("script") or ""
             if script:
                 shell.run_script(script)

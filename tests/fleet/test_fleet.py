@@ -7,7 +7,7 @@ from repro.fleet import (DEFAULT_SLOS, SLO, FleetDriver, SessionSpec,
                          make_slow_spec)
 from repro.fleet.__main__ import build_specs, corpus_journals
 from repro.obs import trace
-from repro.obs.journal import Journal
+from repro.obs.journal import Flags, Journal
 from repro.obs.replay import replay_journal
 from repro.x11 import VirtualClock, XServer
 
@@ -80,7 +80,7 @@ class TestSessionSpec:
         journal.set_header(name="p", script="", planted="registry_leak")
         journal.save(str(path))
         spec = SessionSpec.from_journal(str(path))
-        assert spec.flags.get("planted") is None
+        assert spec.flags == Flags()
 
 
 class TestDriver:
@@ -170,6 +170,36 @@ class TestSocketSessions:
                     summary["virtual_ms"])
 
         assert run(None) == run("socket")
+
+
+class TestSessionOwnership:
+    """An app whose setup script raises after it registered on the
+    server still belongs to its session: inputs reach it by name, and
+    finish() destroys it, exactly as replay does."""
+
+    STEPS = [("new_app", ["peer", "error boom"]),
+             ("eval", ["button .b -text hi; pack append . .b top",
+                       "peer"])]
+
+    def _run(self, record_path=None):
+        spec = SessionSpec(self.STEPS, setup_script=SETUP, name="main",
+                           record_path=record_path)
+        driver = FleetDriver([spec], ping_every=0)
+        return driver.run(), driver
+
+    def test_failed_new_app_leaves_no_live_app(self):
+        result, driver = self._run()
+        assert [app for server in driver.servers
+                for app in getattr(server, "apps", [])
+                if not app.destroyed] == []
+        assert result.summary()["live_apps"] == 0
+        assert result.summary()["errors"] == 1
+
+    def test_failed_new_app_recording_replays(self, tmp_path):
+        path = str(tmp_path / "boom.journal")
+        self._run(record_path=path)
+        result = replay_journal(Journal.load(path))
+        assert result.matched, result.report()
 
 
 class TestCrossSessionSend:

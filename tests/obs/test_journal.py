@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.journal import FORMAT_VERSION, Journal
+from repro.obs.journal import FORMAT_VERSION, Flags, Journal
 from repro.obs.replay import record_session, start_recording
 from repro.tk import TkApp
 from repro.x11 import XServer
@@ -126,7 +126,7 @@ class TestDeterminism:
 
     def test_header_embeds_script_and_flags(self):
         journal = record_session(SCRIPT, STEPS, name="det",
-                                 cache_enabled=False)
+                                 flags=Flags(cache_enabled=False))
         assert journal.meta["v"] == FORMAT_VERSION
         assert journal.meta["name"] == "det"
         assert "button .b" in journal.meta["script"]
@@ -148,6 +148,40 @@ class TestDeterminism:
             record = json.loads(line)
             assert json.dumps(record, sort_keys=True,
                               separators=(",", ":")) == line
+
+
+class TestFlags:
+    def test_defaults_are_all_on(self):
+        assert Flags().as_dict() == {"cache_enabled": True,
+                                     "compile_enabled": True,
+                                     "buffering_enabled": True}
+        assert Flags.from_dict(None) == Flags()
+
+    def test_round_trips_through_the_header(self):
+        flags = Flags(cache_enabled=False, buffering_enabled=False)
+        journal = Journal()
+        journal.set_header(name="f", flags=flags)
+        assert Journal.loads(journal.to_jsonl()).flags == flags
+
+    def test_unknown_key_is_named(self):
+        with pytest.raises(ValueError, match="bytecode_enabled"):
+            Flags.from_dict({"cache_enabled": True,
+                             "bytecode_enabled": True})
+
+
+class TestRecordSessionErrors:
+    """record_session raises on a failing step, except new_app."""
+
+    def test_failing_eval_raises(self):
+        from repro.tcl.errors import TclError
+        with pytest.raises(TclError, match="boom"):
+            record_session(SCRIPT, [("eval", "error boom")], name="err")
+
+    def test_failing_new_app_is_recorded(self):
+        journal = record_session(
+            SCRIPT, [("new_app", "peer", "error boom"), ("update",)],
+            name="err")
+        assert ("new_app", ["peer", "error boom"]) in journal.inputs()
 
 
 class TestRing:

@@ -208,3 +208,43 @@ class TestFaultedReplay:
         result = replay_journal(session, mode="default")
         assert result.matched, result.report()
         assert any(stage == "new_app" for stage, _ in result.swallowed)
+
+
+class TestRetiredFlag:
+    """A header carrying a flag this build lacks (here the retired
+    ``bytecode_enabled``) is rejected with the same ValueError by every
+    entry point that runs a journal."""
+
+    @pytest.fixture
+    def old_journal(self, tmp_path):
+        journal = Journal.load(GOLDEN)
+        journal.meta = dict(journal.meta)
+        journal.meta["flags"] = dict(journal.meta["flags"],
+                                     bytecode_enabled=True)
+        path = tmp_path / "old.journal"
+        journal.save(str(path))
+        return str(path)
+
+    def _replay(self, path):
+        replay_journal(Journal.load(path))
+
+    def _wish_replay(self, path):
+        from repro.wish.shell import main
+        main(["--replay", path])
+
+    def _fleet(self, path):
+        from repro.fleet import FleetDriver, SessionSpec
+        FleetDriver([SessionSpec.from_journal(path)], ping_every=0).run()
+
+    def _fuzz_repro(self, path):
+        from repro.fuzz.__main__ import main
+        main(["--repro", path])
+
+    @pytest.mark.parametrize("entry", ["_replay", "_wish_replay",
+                                       "_fleet", "_fuzz_repro"])
+    def test_rejected_with_the_same_error(self, old_journal, entry):
+        with pytest.raises(ValueError) as caught:
+            getattr(self, entry)(old_journal)
+        assert str(caught.value) == (
+            "unknown session flag(s): bytecode_enabled (known: "
+            "buffering_enabled, cache_enabled, compile_enabled)")
