@@ -507,7 +507,15 @@ def _multiplicative(op: str, left: Value, right: Value) -> Number:
 # ----------------------------------------------------------------------
 
 
-class _ConstNode:
+class _Node:
+    """Base of the AST nodes.  ``fn`` (unset until first use) is the
+    closure the bytecode VM lowers a root node to; it is cached on the
+    shared AST, so every interpreter reuses it."""
+
+    __slots__ = ("fn",)
+
+
+class _ConstNode(_Node):
     __slots__ = ("value",)
 
     def __init__(self, value: Value):
@@ -517,7 +525,7 @@ class _ConstNode:
         return self.value
 
 
-class _VarNode:
+class _VarNode(_Node):
     __slots__ = ("var",)
 
     def __init__(self, var: VarSub):
@@ -527,7 +535,7 @@ class _VarNode:
         return interp.value_of(self.var)
 
 
-class _CmdNode:
+class _CmdNode(_Node):
     __slots__ = ("script",)
 
     def __init__(self, script: str):
@@ -537,7 +545,7 @@ class _CmdNode:
         return interp.eval(self.script)
 
 
-class _QuotedNode:
+class _QuotedNode(_Node):
     """A double-quoted string with embedded substitutions."""
 
     __slots__ = ("word",)
@@ -549,7 +557,7 @@ class _QuotedNode:
         return interp.substitute_word(self.word)
 
 
-class _UnaryNode:
+class _UnaryNode(_Node):
     __slots__ = ("op", "operand")
 
     def __init__(self, op: str, operand):
@@ -607,9 +615,9 @@ _BINARY_APPLY = {
 }
 
 
-class _BinaryNode:
+class _BinaryNode(_Node):
     # ``op`` is kept alongside the bound applier so the bytecode VM
-    # can inline the all-numeric cases without a second dispatch.
+    # can pick its all-numeric fast path when it lowers the node.
     __slots__ = ("op", "apply", "left", "right")
 
     def __init__(self, op: str, left, right):
@@ -626,7 +634,7 @@ class _BinaryNode:
         return self.apply(left, right)
 
 
-class _AndNode:
+class _AndNode(_Node):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
@@ -642,7 +650,7 @@ class _AndNode:
         return 1 if (left_true and truth(right)) else 0
 
 
-class _OrNode:
+class _OrNode(_Node):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
@@ -658,7 +666,7 @@ class _OrNode:
         return 1 if (left_true or truth(right)) else 0
 
 
-class _TernaryNode:
+class _TernaryNode(_Node):
     __slots__ = ("condition", "first", "second")
 
     def __init__(self, condition, first, second):
@@ -676,7 +684,7 @@ class _TernaryNode:
         return first if take_first else second
 
 
-class _FuncNode:
+class _FuncNode(_Node):
     __slots__ = ("name", "arguments")
 
     def __init__(self, name: str, arguments: List):

@@ -10,11 +10,21 @@ a flat tuple of *opcodes* executed by a single dispatch loop — the
 only executor of compiled scripts:
 
 * dedicated opcodes for the hot shapes — ``set``/``incr`` (with the
-  variable name pre-split and, inside procedures, pre-resolved to a
-  local slot index), ``expr`` evaluated straight off the cached AST
-  with raw ints/floats on the (implicit) stack, and structured
-  ``if``/``while``/``for``/``foreach`` ops whose bodies are nested
-  code objects — no command dispatch per iteration;
+  variable name pre-split, a literal or ``$var`` array index planned,
+  and, inside procedures, formals pre-resolved to a local slot index),
+  ``expr``, structured ``if``/``while``/``for``/``foreach`` ops whose
+  bodies are nested code objects — no command dispatch per iteration —
+  and a one-word ``eval`` (``OP_EVAL``) that runs its script's cached
+  code on the current frame without re-entering ``Interp.eval``;
+* expressions lowered once into a tree of plain Python closures
+  ``fn(interp, frame)`` (see :func:`_expr_fn`), cached on the shared
+  expression AST; ``&&``/``||``/``?:``, math functions, ``[cmd]`` and
+  quoted strings stay lazy and delegate to the AST node's own ``eval``;
+* inline command substitution: a word that is one ``[script]`` is
+  compiled by the same builder as its command (sharing the slot map
+  and the ``specialized`` set) and runs as nested code under the depth
+  guard; a lone ``[expr {...}]`` is a direct closure call that still
+  counts one command and still appends its ``while executing`` line;
 * an inline cache per call site for command resolution, keyed on the
   interpreter's ``commands_epoch``, so ``rename``, ``proc``
   redefinition and command deletion take effect immediately;
@@ -36,33 +46,48 @@ span tracer started collecting — every opcode takes the generic path
 :class:`~repro.tcl.compile.CompiledCommand` are substituted and the
 command is invoked by name through ``Interp._invoke``, which opens the
 ``cmd`` trace span and handles ``unknown``.  Traced runs therefore
-execute this same dispatch loop, one generic op per command.
+execute this same dispatch loop, one generic op per command, and
+substitute ``[script]`` words through ``Interp.eval`` as the
+parse-per-eval path does.
 
 Value discipline
 ----------------
 
-Inside the VM, results and variable cells may be *raw* Python ints
-and floats (``incr``/``expr`` never round-trip through strings).  The
-string rep is materialized lazily by ``Interp.get_var``/``to_str`` the
+Inside the VM, results and scalar variable cells may be *raw* Python
+ints (``incr``/``expr`` never round-trip through strings); a raw float
+or bool never reaches a variable, because substituted words keep only
+ints raw.  Array elements always hold strings: every element store
+converts with :func:`repro.tcl.value.to_str`.  The string rep of a
+scalar is materialized lazily by ``Interp.get_var``/``to_str`` the
 first time string-level code looks, and every boundary out of the VM
-(command argv, proc results, ``interp.eval``) converts via
-:func:`repro.tcl.value.to_str`, whose ``%.12g``-based formatting makes
-the raw path observationally identical to the string path.  That
-equivalence is what lets ``examples/golden.journal`` replay
-byte-identically on the VM and on the parse-per-eval path
+(command argv, proc results, ``interp.eval``) converts via ``to_str``,
+whose ``%.12g``-based formatting makes the raw path observationally
+identical to the string path.
+
+Variable access (:func:`_load_var`, :func:`_store_var`) follows
+``global``/``upvar`` links one name at a time, for at most
+``_MAX_HOPS`` hops, and reads or writes the owning slot, dict entry or
+array element directly.  Whenever variable traces are installed
+(``Interp._vm_direct`` is False), a variable or element is missing, a
+chain is longer, or anything would raise, it falls back to
+``Interp.get_var``/``set_var``, which fire traces and raise the
+diagnostics.  That equivalence is what lets ``examples/golden.journal``
+replay byte-identically on the VM and on the parse-per-eval path
 (``compile_off`` replay mode) — the correctness oracle for this whole
 module.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import List, Optional
 
-from .compile import (CompiledScript, _append_error_info, _CmdStep,
-                      _VarStep, compile_script)
+from .compile import (CompiledScript, CompiledWord, _append_error_info,
+                      _CmdStep, _VarStep, compile_script, compile_word)
 from .errors import TclBreak, TclContinue, TclError, TclReturn
 from .expr import (_BinaryNode, _ConstNode, _UnaryNode, _VarNode,
-                   compile_expr, require_int, require_number, truth)
+                   _multiplicative, compile_expr, require_int,
+                   require_number, truth)
 from .lists import parse_list
 from .strings import _to_int
 from .value import (SlotLink as _SlotLink, Value as _Value, cached_number,
@@ -74,18 +99,20 @@ from .value import (SlotLink as _SlotLink, Value as _Value, cached_number,
 
 OP_GENERIC = 0        # (op, cmd)
 OP_CALL = 1           # (op, name, const_argv, plans, cache, cmd)
+# Ops up to OP_EVAL substitute words of their own.
 OP_SET_SLOT = 2       # (op, slot, name, plan, cmd)
 OP_SET_NAME = 3       # (op, name, index, plan, cmd)
 OP_INCR_SLOT = 4      # (op, slot, name, amount, cmd)
 OP_INCR_NAME = 5      # (op, name, index, amount, cmd)
-OP_EXPR = 6           # (op, ast, text, cmd)
-OP_IF = 7             # (op, branches, else_code, cmd)
-OP_WHILE = 8          # (op, ast, text, body, cmd)
-OP_FOR = 9            # (op, start, ast, text, next, body, cmd)
-OP_FOREACH = 10       # (op, targets, plan, body, cmd)
-OP_RETURN = 11        # (op, plan, cmd)
-OP_BREAK = 12         # (op, cmd)
-OP_CONTINUE = 13      # (op, cmd)
+OP_FOREACH = 6        # (op, targets, plan, body, cmd)
+OP_RETURN = 7         # (op, plan, cmd)
+OP_EVAL = 8           # (op, plan, cmd)
+OP_EXPR = 9           # (op, fn, text, cmd)
+OP_IF = 10            # (op, branches, else_code, cmd)
+OP_WHILE = 11         # (op, fn, text, body, cmd)
+OP_FOR = 12           # (op, start, fn, text, next, body, cmd)
+OP_BREAK = 13         # (op, cmd)
+OP_CONTINUE = 14      # (op, cmd)
 
 _MNEMONICS = {
     OP_GENERIC: "GENERIC", OP_CALL: "CALL", OP_SET_SLOT: "SET_SLOT",
@@ -93,13 +120,21 @@ _MNEMONICS = {
     OP_INCR_NAME: "INCR_NAME", OP_EXPR: "EXPR", OP_IF: "IF",
     OP_WHILE: "WHILE", OP_FOR: "FOR", OP_FOREACH: "FOREACH",
     OP_RETURN: "RETURN", OP_BREAK: "BREAK", OP_CONTINUE: "CONTINUE",
+    OP_EVAL: "EVAL",
 }
 
-# Word-plan kinds (see _plan): literal strings are stored as Value
-# objects directly; dynamic words become small tagged tuples.
-_P_VAR = 1            # (kind, name, index)   index: None | str | CompiledWord
-_P_CMD = 2            # (kind, _CmdStep)
+# Word-plan kinds (see _Builder.plan): literal strings are stored as
+# Value objects directly; dynamic words become small tagged tuples.  An
+# array index (``index`` below, and in SET_NAME/INCR_NAME ops) is None,
+# a literal Value, or a plan.
+_P_VAR = 1            # (kind, name, index)
+_P_CMD = 2            # (kind, Code)        inline ``[script]``
 _P_WORD = 3           # (kind, CompiledWord)
+_P_EXPR = 4           # (kind, Code)        inline lone ``[expr {...}]``
+
+#: Longest ``global``/``upvar`` chain the direct variable access
+#: follows before handing the name to ``Interp.get_var``/``set_var``.
+_MAX_HOPS = 8
 
 # Lazily bound (vm is imported by interp at module load, so importing
 # interp/commands back at top level would cycle through a
@@ -127,6 +162,7 @@ def _lazy_init() -> None:
         "return": control.cmd_return,
         "break": control.cmd_break,
         "continue": control.cmd_continue,
+        "eval": control.cmd_eval,
     }
 
 
@@ -136,9 +172,10 @@ class Code:
     ``slot_map`` maps formal names to slot indexes for procedure
     bodies (None for script-level code).  ``specialized`` is the set
     of builtin names whose semantics are baked into dedicated opcodes;
-    it is shared by a top-level code object and all its nested bodies,
-    so one revalidation covers the whole unit.  ``valid`` caches the
-    last successful validation as ``(interp, epoch)``.
+    it is shared by a top-level code object and all its nested bodies
+    and inline ``[script]`` plans, so one revalidation covers the whole
+    unit.  ``valid`` caches the last successful validation as
+    ``(interp, epoch)``.
     """
 
     __slots__ = ("ops", "slot_map", "specialized", "valid", "source",
@@ -186,73 +223,153 @@ def _usable(interp, code: Code) -> bool:
 # ---------------------------------------------------------------------------
 
 def _plan(word):
-    """A per-word resolution plan: a literal Value or a tagged tuple."""
+    """A per-word resolution plan: a literal Value or a tagged tuple.
+
+    ``[script]`` words stay ``_P_WORD`` here; :meth:`_Builder.plan`
+    inlines them."""
     if type(word) is str:
         return literal(word)
     steps = word.steps
-    if len(steps) == 1:
+    if len(steps) == 1 and type(steps[0]) is _VarStep:
         step = steps[0]
-        if type(step) is _VarStep:
-            return (_P_VAR, step.name, step.index)
-        if type(step) is _CmdStep:
-            return (_P_CMD, step)
+        index = step.index
+        return (_P_VAR, step.name, None if index is None else _plan(index))
     return (_P_WORD, word)
 
 
 def _resolve(interp, frame, plan) -> str:
     """Resolve a plan to its string value (command-argv discipline)."""
-    t = type(plan)
-    if t is _Value or t is str:
+    if type(plan) is _Value:
         return plan
-    kind = plan[0]
-    if kind == _P_VAR:
-        index = plan[2]
-        if index is not None and type(index) is not str:
-            index = index.substitute(interp)
-        return interp.get_var(plan[1], index)
-    if kind == _P_CMD:
-        return plan[1].resolve(interp)
-    return plan[1].substitute(interp)
+    return to_str(_resolve_raw(interp, frame, plan))
 
 
 def _resolve_raw(interp, frame, plan):
-    """Like :func:`_resolve` but a plain variable read may return the
-    raw numeric cell (``set``/``incr``/``expr`` value positions)."""
-    t = type(plan)
-    if t is _Value or t is str:
+    """Like :func:`_resolve`, but a variable read or an inline command
+    may give a raw int (``set``/``incr``/``expr`` value positions)."""
+    if type(plan) is _Value:
         return plan
     kind = plan[0]
     if kind == _P_VAR:
         index = plan[2]
-        if index is None:
-            return _load_var(interp, frame, plan[1])
-        if type(index) is not str:
-            index = index.substitute(interp)
-        return interp.get_var(plan[1], index)
-    if kind == _P_CMD:
-        return plan[1].resolve(interp)
-    return plan[1].substitute(interp)
+        if index is not None and type(index) is not _Value:
+            index = _resolve(interp, frame, index)
+        return _load_var(interp, frame, plan[1], index)
+    if kind == _P_WORD:
+        return plan[1].substitute(interp)
+    code = plan[1]
+    v = code.valid
+    if kind == _P_EXPR and v is not None and v[0] is interp and \
+            v[1] == interp.commands_epoch and not interp._trace_on and \
+            interp.depth < _MAX_DEPTH:
+        # ``[expr {...}]``: the one EXPR op, without a run() prologue.
+        op = code.ops[0]
+        interp._m_vm_dispatches.value += 1
+        interp._m_commands.value += 1
+        interp.depth += 1
+        try:
+            value = op[1](interp, frame)
+        except TclError as error:
+            _append_error_info(error, op[3].source)
+            raise
+        except interp.native_error_types as error:
+            converted = TclError(str(error))
+            _append_error_info(converted, op[3].source)
+            raise converted from error
+        finally:
+            interp.depth -= 1
+    else:
+        value = _exec_body(interp, code, frame)
+    # A substituted word is a string; ints stay raw (their string rep
+    # is exact), floats and bools take their Tcl formatting now.
+    return value if type(value) is int else to_str(value)
 
 
-def _load_var(interp, frame, name):
-    """Raw scalar read: slot/dict cell without string materialization.
+def _load_var(interp, frame, name, index=None):
+    """Raw read of ``name`` (or its element ``index``) as seen from
+    ``frame``: links followed, no string materialization."""
+    if interp._vm_direct:
+        owner, key, hops = frame, name, 0
+        while True:
+            slot_map = owner.slot_map
+            ix = None if slot_map is None else slot_map.get(key)
+            if ix is None:
+                cell = owner.variables.get(key)
+                if cell is None:
+                    link = owner.links.get(key)
+                    if link is None:
+                        break
+                    owner, key = link
+                    hops += 1
+                    if hops > _MAX_HOPS:
+                        break
+                    continue
+            else:
+                cell = owner.slots[ix]
+                if type(cell) is _SlotLink:
+                    owner, key = cell.frame, cell.name
+                    hops += 1
+                    if hops > _MAX_HOPS:
+                        break
+                    continue
+            t = type(cell)
+            if index is None:
+                if t is str or t is _Value or t is int:
+                    return cell
+            elif t is dict:
+                value = cell.get(index)
+                if value is not None:
+                    return value
+            break
+    return interp.get_var(name, index)
 
-    Falls back to ``interp.get_var`` (which may be hooked by variable
-    traces) for links, arrays, unset names, and whenever direct access
-    is disabled.
-    """
-    if interp._vm_direct and not frame.links:
-        slot_map = frame.slot_map
-        if slot_map is not None:
-            ix = slot_map.get(name)
-            cell = frame.slots[ix] if ix is not None \
-                else frame.variables.get(name)
-        else:
-            cell = frame.variables.get(name)
-        t = type(cell)
-        if t is str or t is _Value or t is int or t is float:
-            return cell
-    return interp.get_var(name)
+
+def _store_var(interp, frame, name, index, value):
+    """Write ``value`` to ``name`` (or its element ``index``) as seen
+    from ``frame``, following links like :func:`_load_var`.  Array
+    elements are always stored as strings."""
+    if index is not None:
+        value = to_str(value)
+    if interp._vm_direct:
+        owner, key, hops = frame, name, 0
+        while hops <= _MAX_HOPS:
+            slot_map = owner.slot_map
+            ix = None if slot_map is None else slot_map.get(key)
+            if ix is not None:
+                cell = owner.slots[ix]
+                t = type(cell)
+                if t is _SlotLink:
+                    owner, key = cell.frame, cell.name
+                    hops += 1
+                    continue
+                if index is None:
+                    if t is not dict:
+                        owner.slots[ix] = value
+                        return value
+                elif t is dict:
+                    cell[index] = value
+                    return value
+                break
+            variables = owner.variables
+            cell = variables.get(key)
+            if cell is None:
+                link = owner.links.get(key)
+                if link is not None:
+                    owner, key = link
+                    hops += 1
+                    continue
+                if index is not None:
+                    break                   # set_var creates the array
+            elif index is not None:
+                if type(cell) is dict:
+                    cell[index] = value
+                    return value
+                break
+            elif type(cell) is dict:
+                break
+            variables[key] = value
+            return value
+    return interp.set_var(name, value, index)
 
 
 def _as_int(value) -> int:
@@ -265,112 +382,189 @@ def _as_int(value) -> int:
 
 
 # ---------------------------------------------------------------------------
-# raw expression evaluation (off the cached AST)
+# expressions lowered to closures
 # ---------------------------------------------------------------------------
 
-def _expr_eval(interp, frame, node):
-    """Evaluate an expression AST with raw variable reads.
+def _div(a, b):
+    if type(a) is int and type(b) is int and b:
+        return a // b
+    return _multiplicative("/", a, b)
 
-    Only the nodes that dominate hot expressions are special-cased;
-    anything lazy (``&&``/``||``/``?:``), function calls, command and
-    quoted substitutions delegate to the node's own ``eval``, which is
-    exactly what the ``expr`` command does.
-    """
+
+def _mod(a, b):
+    if type(a) is int and type(b) is int and b:
+        return a % b
+    return _multiplicative("%", a, b)
+
+
+#: All-numeric fast paths, same results as the appliers.  Comparisons
+#: follow the appliers' three-way compare, under which NaN is "equal"
+#: to everything: ``<=`` is "not greater", ``==`` "neither less nor
+#: greater".  They return bools; the caller's unary ``+`` makes ints.
+_FAST = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _div, "%": _mod, "<": operator.lt, ">": operator.gt,
+    "<=": lambda a, b: not a > b, ">=": lambda a, b: not a < b,
+    "==": lambda a, b: not (a < b or a > b),
+    "!=": lambda a, b: a < b or a > b,
+}
+
+def _expr_fn(text: str):
+    """The closure form ``fn(interp, frame)`` of an expression, built on
+    first use and cached on its (shared, bounded-LRU) AST."""
+    node = compile_expr(text)
+    try:
+        return node.fn
+    except AttributeError:
+        fn = node.fn = _lower(node)
+        return fn
+
+
+def _lower(node):
+    """Lower an AST node to a closure equal to ``node.eval(interp,
+    True)``, except that variable reads may return raw ints.
+
+    Each closure is made by a small factory of its own, so it holds
+    only the cells it reads (the closures live as long as the AST)."""
     t = type(node)
-    if t is _BinaryNode:
-        # Operand fetch is inlined for the two leaf shapes ($var and
-        # constants) so a binary op over leaves costs no extra frames.
-        slot_map = frame.slot_map if interp._vm_direct \
-            and not frame.links else None
-        operand = node.left
-        to = type(operand)
-        if to is _VarNode and operand.var.index is None:
-            if slot_map is not None:
-                ix = slot_map.get(operand.var.name)
-                left = frame.slots[ix] if ix is not None else None
-                tc = type(left)
-                if tc is not str and tc is not _Value and \
-                        tc is not int and tc is not float:
-                    left = _load_var(interp, frame, operand.var.name)
-            else:
-                left = _load_var(interp, frame, operand.var.name)
-        elif to is _ConstNode:
-            left = operand.value
-        else:
-            left = _expr_eval(interp, frame, operand)
-        operand = node.right
-        to = type(operand)
-        if to is _VarNode and operand.var.index is None:
-            if slot_map is not None:
-                ix = slot_map.get(operand.var.name)
-                right = frame.slots[ix] if ix is not None else None
-                tc = type(right)
-                if tc is not str and tc is not _Value and \
-                        tc is not int and tc is not float:
-                    right = _load_var(interp, frame, operand.var.name)
-            else:
-                right = _load_var(interp, frame, operand.var.name)
-        elif to is _ConstNode:
-            right = operand.value
-        else:
-            right = _expr_eval(interp, frame, operand)
-        # All-numeric fast path: same result as the appliers (which
-        # would re-derive these numbers through require_number or
-        # _compare), minus the coercion calls.  A non-numeric operand
-        # (cached_number None) falls back to the applier, which does
-        # string comparison or raises with the original operand text.
-        # Division/modulo keep their truncation and zero-check
-        # semantics in the applier too.
-        tl = type(left)
-        ln = left if tl is int or tl is float else cached_number(left)
-        if ln is not None:
-            tr = type(right)
-            rn = right if tr is int or tr is float \
-                else cached_number(right)
-            if rn is not None:
-                op = node.op
-                if op == "+":
-                    return ln + rn
-                if op == "<":
-                    return 1 if ln < rn else 0
-                if op == "-":
-                    return ln - rn
-                if op == "*":
-                    return ln * rn
-                if op == ">":
-                    return 1 if ln > rn else 0
-                if op == "<=":
-                    return 1 if ln <= rn else 0
-                if op == ">=":
-                    return 1 if ln >= rn else 0
-                if op == "==":
-                    return 1 if ln == rn else 0
-                if op == "!=":
-                    return 1 if ln != rn else 0
-        return node.apply(left, right)
     if t is _ConstNode:
-        return node.value
+        return _const_fn(node.value)
     if t is _VarNode:
+        name, index = _static_var(node)
+        if name is not None:
+            return _var_fn(name, index)
+        return _dynamic_var_fn(node.var.name,
+                               _plan(compile_word(node.var.index)))
+    if t is _BinaryNode:
+        return _lower_binary(node)
+    if t is _UnaryNode:
+        return _unary_fn(node.op, _lower(node.operand))
+    # Lazy operators, math functions, [cmd] and quoted strings.
+    return _delegate_fn(node.eval)
+
+
+def _static_var(node):
+    """``(name, index)`` of a ``$name`` or ``$name(literal)`` operand,
+    which a binary closure reads without a closure call of its own;
+    ``(None, None)`` for anything else."""
+    if type(node) is _VarNode:
         var = node.var
         if var.index is None:
-            return _load_var(interp, frame, var.name)
-        return interp.value_of(var)
-    if t is _UnaryNode:
-        operand = _expr_eval(interp, frame, node.operand)
-        op = node.op
-        if op == "-":
-            return -require_number(operand)
-        if op == "+":
-            return +require_number(operand)
-        if op == "!":
-            return int(not truth(operand))
-        return ~require_int(operand)
-    return node.eval(interp, True)
+            return var.name, None
+        index = compile_word(var.index)
+        if type(index) is str:
+            return var.name, literal(index)
+    return None, None
 
 
-def _cond(interp, frame, ast, text: str) -> bool:
-    value = _expr_eval(interp, frame, ast)
-    number = cached_number(value)
+def _const_fn(value):
+    return lambda interp, frame: value
+
+
+def _var_fn(name, index):
+    return lambda interp, frame: _load_var(interp, frame, name, index)
+
+
+def _dynamic_var_fn(name, index):
+    return lambda interp, frame: _load_var(
+        interp, frame, name, _resolve(interp, frame, index))
+
+
+def _delegate_fn(evaluate):
+    return lambda interp, frame: evaluate(interp, True)
+
+
+def _unary_fn(op, operand):
+    if op == "-":
+        return lambda interp, frame: -require_number(operand(interp, frame))
+    if op == "+":
+        return lambda interp, frame: +require_number(operand(interp, frame))
+    if op == "!":
+        return lambda interp, frame: int(not truth(operand(interp, frame)))
+    return lambda interp, frame: ~require_int(operand(interp, frame))
+
+
+def _lower_binary(node):
+    apply = node.apply
+    fast = _FAST.get(node.op)
+    if fast is None:
+        return _applied_fn(apply, _lower(node.left), _lower(node.right))
+    lname, lindex = _static_var(node.left)
+    left = _lower(node.left) if lname is None else None
+    rnum = node.right.value if type(node.right) is _ConstNode else None
+    if type(rnum) is int or type(rnum) is float:
+        # A numeric literal: the applier sees exactly this number too.
+        if lname is None:
+            return _numeric_const_fn(fast, apply, left, rnum)
+        return _var_const_fn(fast, apply, lname, lindex, rnum)
+    rname, rindex = _static_var(node.right)
+    right = _lower(node.right) if rname is None else None
+    return _numeric_fn(fast, apply, left, lname, lindex,
+                       right, rname, rindex)
+
+
+def _applied_fn(apply, left, right):
+    return lambda interp, frame: apply(left(interp, frame),
+                                       right(interp, frame))
+
+
+# The binary closures below take their parameters as default
+# arguments rather than closure cells: one closure lives per AST node
+# for as long as the expression cache keeps the AST, and a cell per
+# parameter would cost about 40 more bytes each.
+
+def _numeric_const_fn(fast, apply, left, rnum):
+    def numeric_const(interp, frame, fast=fast, apply=apply, left=left,
+                      rnum=rnum):
+        l = left(interp, frame)
+        t = type(l)
+        n = l if t is int or t is float else cached_number(l)
+        if n is None:
+            return apply(l, rnum)
+        return +fast(n, rnum)
+    return numeric_const
+
+
+def _var_const_fn(fast, apply, name, index, rnum):
+    """``$name OP number``: the variable is read without a closure."""
+    def var_const(interp, frame, fast=fast, apply=apply, name=name,
+                  index=index, rnum=rnum):
+        l = _load_var(interp, frame, name, index)
+        t = type(l)
+        n = l if t is int or t is float else cached_number(l)
+        if n is None:
+            return apply(l, rnum)
+        return +fast(n, rnum)
+    return var_const
+
+
+def _numeric_fn(fast, apply, left, lname, lindex, right, rname, rindex):
+    """``left OP right``; an operand that is a plain variable (``lname``,
+    ``rname``) is read by name, any other by its closure."""
+    def numeric(interp, frame, fast=fast, apply=apply, left=left,
+                lname=lname, lindex=lindex, right=right, rname=rname,
+                rindex=rindex):
+        if lname is None:
+            l = left(interp, frame)
+        else:
+            l = _load_var(interp, frame, lname, lindex)
+        if rname is None:
+            r = right(interp, frame)
+        else:
+            r = _load_var(interp, frame, rname, rindex)
+        t = type(l)
+        ln = l if t is int or t is float else cached_number(l)
+        if ln is not None:
+            t = type(r)
+            rn = r if t is int or t is float else cached_number(r)
+            if rn is not None:
+                return +fast(ln, rn)
+        return apply(l, r)
+    return numeric
+
+
+def _cond(interp, frame, fn, text: str) -> bool:
+    number = cached_number(fn(interp, frame))
     if number is None:
         raise TclError(
             'expression "%s" didn\'t produce a numeric result' % text)
@@ -411,12 +605,7 @@ def run(interp, code: Code, frame):
     """
     ops = code.ops
     interp._m_vm_dispatches.value += len(ops)
-    v = code.valid
-    if v is not None and v[0] is interp and \
-            v[1] == interp.commands_epoch and not interp._trace_on:
-        valid = True
-    else:
-        valid = _usable(interp, code)
+    valid = True
     result = ""
     for op in ops:
         # An earlier op may have run arbitrary Tcl (redefining a
@@ -424,18 +613,20 @@ def run(interp, code: Code, frame):
         # cached (interp, epoch) stamp before each dedicated op.
         if valid:
             v = code.valid
-            if v[0] is not interp or v[1] != interp.commands_epoch or \
-                    interp._trace_on:
+            if v is None or v[0] is not interp or \
+                    v[1] != interp.commands_epoch or interp._trace_on:
                 valid = _usable(interp, code)
         if not valid:
             result = _generic(interp, op[-1])
             valid = _usable(interp, code)
             continue
         kind = op[0]
-        if kind > OP_CALL:
+        if kind > OP_EVAL:
             # Every dedicated opcode stands in for one command
-            # invocation; keep ``info cmdcount`` exact.  (CALL and
-            # GENERIC count on their own paths.)
+            # invocation; keep ``info cmdcount`` exact.  The generic
+            # path counts a command once its words are substituted, so
+            # ops that substitute words count after that (and CALL and
+            # GENERIC on their own paths).
             interp._m_commands.value += 1
         if kind == OP_CALL:
             cache = op[4]
@@ -474,6 +665,7 @@ def run(interp, code: Code, frame):
                 raise converted from error
         elif kind == OP_SET_SLOT:
             value = _resolve_raw(interp, frame, op[3])
+            interp._m_commands.value += 1
             if interp._vm_direct:
                 slots = frame.slots
                 cell = slots[op[1]]
@@ -482,26 +674,20 @@ def run(interp, code: Code, frame):
                     result = value
                     continue
             try:
-                result = interp.set_var(op[2], value)
+                result = _store_var(interp, frame, op[2], None, value)
             except TclError as error:
                 _append_error_info(error, op[4].source)
                 raise
         elif kind == OP_SET_NAME:
+            # The name word (and so its index) is substituted before
+            # the value word, as on the generic path.
+            index = op[2]
+            if index is not None and type(index) is not _Value:
+                index = _resolve(interp, frame, index)
             value = _resolve_raw(interp, frame, op[3])
-            name = op[1]
-            if op[2] is None and interp._vm_direct and not frame.links:
-                # The compiler guarantees ``name`` is not a formal of
-                # this code's slot_map; a *different* frame (uplevel)
-                # may still map it, hence the runtime check.
-                slot_map = frame.slot_map
-                if slot_map is None or name not in slot_map:
-                    variables = frame.variables
-                    if type(variables.get(name)) is not dict:
-                        variables[name] = value
-                        result = value
-                        continue
+            interp._m_commands.value += 1
             try:
-                result = interp.set_var(name, value, op[2])
+                result = _store_var(interp, frame, op[1], index, value)
             except TclError as error:
                 _append_error_info(error, op[4].source)
                 raise
@@ -509,6 +695,7 @@ def run(interp, code: Code, frame):
             amount = op[3]
             if type(amount) is not int:
                 amount = _resolve_raw(interp, frame, amount)
+            interp._m_commands.value += 1
             try:
                 if interp._vm_direct:
                     slots = frame.slots
@@ -518,44 +705,41 @@ def run(interp, code: Code, frame):
                         result = cell + _as_int(amount)
                         slots[op[1]] = result
                         continue
-                    if t is str or t is _Value or t is float:
+                    if t is str or t is _Value:
                         result = _as_int(cell) + _as_int(amount)
                         slots[op[1]] = result
                         continue
-                current = _as_int(interp.get_var(op[2]))
-                result = interp.set_var(op[2], str(current + _as_int(amount)))
+                result = _incr(interp, frame, op[2], None, amount)
             except TclError as error:
                 _append_error_info(error, op[4].source)
                 raise
         elif kind == OP_INCR_NAME:
+            index = op[2]
+            if index is not None and type(index) is not _Value:
+                index = _resolve(interp, frame, index)
             amount = op[3]
             if type(amount) is not int:
                 amount = _resolve_raw(interp, frame, amount)
+            interp._m_commands.value += 1
             name = op[1]
             try:
-                if op[2] is None and interp._vm_direct and not frame.links:
-                    slot_map = frame.slot_map
-                    if slot_map is None or name not in slot_map:
-                        variables = frame.variables
-                        cell = variables.get(name)
-                        t = type(cell)
-                        if t is int:
-                            result = cell + _as_int(amount)
-                            variables[name] = result
-                            continue
-                        if t is str or t is _Value or t is float:
-                            result = _as_int(cell) + _as_int(amount)
-                            variables[name] = result
-                            continue
-                current = _as_int(interp.get_var(name, op[2]))
-                result = interp.set_var(name, str(current + _as_int(amount)),
-                                        op[2])
+                if index is None and interp._vm_direct:
+                    # A local scalar needs no link walk: a frame holds a
+                    # name as a slot, a variable or a link, never two.
+                    variables = frame.variables
+                    cell = variables.get(name)
+                    t = type(cell)
+                    if t is int or t is str or t is _Value:
+                        result = _as_int(cell) + _as_int(amount)
+                        variables[name] = result
+                        continue
+                result = _incr(interp, frame, name, index, amount)
             except TclError as error:
                 _append_error_info(error, op[4].source)
                 raise
         elif kind == OP_EXPR:
             try:
-                result = _expr_eval(interp, frame, op[1])
+                result = op[1](interp, frame)
             except TclError as error:
                 _append_error_info(error, op[3].source)
                 raise
@@ -563,6 +747,8 @@ def run(interp, code: Code, frame):
                 converted = TclError(str(error))
                 _append_error_info(converted, op[3].source)
                 raise converted from error
+        elif kind == OP_EVAL:
+            result = _op_eval(interp, frame, op)
         elif kind == OP_IF:
             result = _op_if(interp, frame, op)
         elif kind == OP_WHILE:
@@ -575,8 +761,9 @@ def run(interp, code: Code, frame):
             result = _generic(interp, op[1])
         elif kind == OP_RETURN:
             plan = op[1]
-            raise TclReturn(
-                "" if plan is None else _resolve(interp, frame, plan))
+            value = "" if plan is None else _resolve(interp, frame, plan)
+            interp._m_commands.value += 1
+            raise TclReturn(value)
         elif kind == OP_BREAK:
             raise TclBreak()
         else:
@@ -584,10 +771,39 @@ def run(interp, code: Code, frame):
     return result
 
 
+def _incr(interp, frame, name, index, amount):
+    current = _as_int(_load_var(interp, frame, name, index))
+    return _store_var(interp, frame, name, index, current + _as_int(amount))
+
+
+def _op_eval(interp, frame, op):
+    """One-word ``eval``: the script's cached code, run on this frame
+    (``cmd_eval`` without the ``Interp.eval`` re-entry)."""
+    # Substitution of the script word precedes the command proper on
+    # the generic path, so its errors stay unwrapped.
+    script = _resolve(interp, frame, op[1])
+    interp._m_commands.value += 1
+    try:
+        if not interp.compile_enabled:
+            return interp.eval(script)
+        compiled = interp._compiled(script)
+        code = compiled.vm_code
+        if code is None:
+            code = code_for_script(interp, compiled)
+        return _exec_body(interp, code, frame)
+    except TclError as error:
+        _append_error_info(error, op[2].source)
+        raise
+    except interp.native_error_types as error:
+        converted = TclError(str(error))
+        _append_error_info(converted, op[2].source)
+        raise converted from error
+
+
 def _op_if(interp, frame, op):
     try:
-        for ast, text, branch in op[1]:
-            if _cond(interp, frame, ast, text):
+        for fn, text, branch in op[1]:
+            if _cond(interp, frame, fn, text):
                 return _exec_body(interp, branch, frame)
         else_code = op[2]
         if else_code is not None:
@@ -603,9 +819,9 @@ def _op_if(interp, frame, op):
 
 
 def _op_while(interp, frame, op):
-    ast, text, body = op[1], op[2], op[3]
+    fn, text, body = op[1], op[2], op[3]
     try:
-        while _cond(interp, frame, ast, text):
+        while _cond(interp, frame, fn, text):
             try:
                 _exec_body(interp, body, frame)
             except TclBreak:
@@ -623,10 +839,10 @@ def _op_while(interp, frame, op):
 
 
 def _op_for(interp, frame, op):
-    start, ast, text, nxt, body = op[1], op[2], op[3], op[4], op[5]
+    start, fn, text, nxt, body = op[1], op[2], op[3], op[4], op[5]
     try:
         _exec_body(interp, start, frame)
-        while _cond(interp, frame, ast, text):
+        while _cond(interp, frame, fn, text):
             try:
                 _exec_body(interp, body, frame)
             except TclBreak:
@@ -649,6 +865,7 @@ def _op_foreach(interp, frame, op):
     # Substitution of the list word precedes the command proper on the
     # generic path, so its errors stay unwrapped.
     list_text = _resolve(interp, frame, op[2])
+    interp._m_commands.value += 1
     try:
         values = parse_list(list_text)
         n_names = len(targets)
@@ -666,7 +883,7 @@ def _op_foreach(interp, frame, op):
                             type(cell) is not _SlotLink:
                         slots[ix] = value
                         continue
-                interp.set_var(name, value)
+                _store_var(interp, frame, name, None, value)
                 direct = interp._vm_direct
             try:
                 _exec_body(interp, body, frame)
@@ -692,8 +909,9 @@ def _op_foreach(interp, frame, op):
 class _Builder:
     """Compiles CompiledScript trees into Code objects.
 
-    One builder per top-level unit: nested bodies share the builder's
-    ``specialized`` set so the whole unit validates as one."""
+    One builder per top-level unit: nested bodies and inline
+    ``[script]`` words share the builder's slot map and
+    ``specialized`` set, so the whole unit validates as one."""
 
     def __init__(self, slot_map):
         self.slot_map = slot_map
@@ -707,6 +925,41 @@ class _Builder:
 
     def sub(self, text: str) -> Code:
         return self.build(compile_script(text))
+
+    def plan(self, word):
+        """:func:`_plan`, with a one-``[script]`` word compiled inline."""
+        if type(word) is not str and len(word.steps) == 1 and \
+                type(word.steps[0]) is _CmdStep:
+            step = word.steps[0]
+            compiled = step.compiled
+            if compiled is None:
+                try:
+                    compiled = step.compiled = compile_script(step.script)
+                except TclError:
+                    # Unparsable: the generic substitution raises it
+                    # at run time, as the parse-per-eval path does.
+                    return (_P_WORD, word)
+            code = self.build(compiled)
+            if len(code.ops) == 1 and code.ops[0][0] == OP_EXPR:
+                return (_P_EXPR, code)
+            return (_P_CMD, code)
+        return _plan(word)
+
+    def _target(self, word):
+        """``(name, index)`` of a variable-name word: a literal name,
+        or ``name(...)`` whose index is substituted (``cell($i)``).
+        None when the name itself is dynamic."""
+        if type(word) is str:
+            name, index = _split_var_name(word)
+            return name, None if index is None else literal(index)
+        steps = word.steps
+        first, last = steps[0], steps[-1]
+        if len(steps) >= 3 and type(first) is str and last == ")" and \
+                0 < first.find("(") == len(first) - 1:
+            # The generic path splits the substituted name at its first
+            # "(", which is the last character of ``first``.
+            return first[:-1], self.plan(CompiledWord(steps[1:-1]))
+        return None
 
     def _command(self, cmd):
         words = cmd.words
@@ -731,7 +984,7 @@ class _Builder:
             plans = None
         else:
             const = None
-            plans = tuple(_plan(word) for word in words)
+            plans = tuple(self.plan(word) for word in words)
         return (OP_CALL, name, const, plans, [None, -1, None], cmd)
 
     def _slot(self, name: str) -> Optional[int]:
@@ -740,10 +993,13 @@ class _Builder:
 
     def _spec_set(self, cmd):
         words = cmd.words
-        if len(words) != 3 or type(words[1]) is not str:
+        if len(words) != 3:
             return None
-        name, index = _split_var_name(words[1])
-        plan = _plan(words[2])
+        target = self._target(words[1])
+        if target is None:
+            return None
+        name, index = target
+        plan = self.plan(words[2])
         if index is None:
             ix = self._slot(name)
             if ix is not None:
@@ -752,15 +1008,18 @@ class _Builder:
 
     def _spec_incr(self, cmd):
         words = cmd.words
-        if len(words) not in (2, 3) or type(words[1]) is not str:
+        if len(words) not in (2, 3):
             return None
-        name, index = _split_var_name(words[1])
+        target = self._target(words[1])
+        if target is None:
+            return None
+        name, index = target
         if len(words) == 2:
             amount = 1
         elif type(words[2]) is str:
             amount = _to_int(words[2])      # TclError -> generic path
         else:
-            amount = _plan(words[2])
+            amount = self.plan(words[2])
         if index is None:
             ix = self._slot(name)
             if ix is not None:
@@ -775,7 +1034,13 @@ class _Builder:
             if type(word) is not str:
                 return None
         text = " ".join(words[1:])
-        return (OP_EXPR, compile_expr(text), text, cmd)
+        return (OP_EXPR, _expr_fn(text), text, cmd)
+
+    def _spec_eval(self, cmd):
+        words = cmd.words
+        if len(words) != 2:
+            return None
+        return (OP_EVAL, self.plan(words[1]), cmd)
 
     def _spec_if(self, cmd):
         argv = cmd.words
@@ -796,7 +1061,7 @@ class _Builder:
                 return None
             body = argv[i]
             i += 1
-            branches.append((compile_expr(condition), condition,
+            branches.append((_expr_fn(condition), condition,
                              self.sub(body)))
             if i >= len(argv):
                 break
@@ -816,7 +1081,7 @@ class _Builder:
         if len(words) != 3 or type(words[1]) is not str or \
                 type(words[2]) is not str:
             return None
-        return (OP_WHILE, compile_expr(words[1]), words[1],
+        return (OP_WHILE, _expr_fn(words[1]), words[1],
                 self.sub(words[2]), cmd)
 
     def _spec_for(self, cmd):
@@ -826,7 +1091,7 @@ class _Builder:
         for word in words[1:]:
             if type(word) is not str:
                 return None
-        return (OP_FOR, self.sub(words[1]), compile_expr(words[2]),
+        return (OP_FOR, self.sub(words[1]), _expr_fn(words[2]),
                 words[2], self.sub(words[3]), self.sub(words[4]), cmd)
 
     def _spec_foreach(self, cmd):
@@ -838,7 +1103,7 @@ class _Builder:
         if not names:
             return None
         targets = tuple((self._slot(name), name) for name in names)
-        return (OP_FOREACH, targets, _plan(words[2]),
+        return (OP_FOREACH, targets, self.plan(words[2]),
                 self.sub(words[3]), cmd)
 
     def _spec_return(self, cmd):
@@ -846,7 +1111,7 @@ class _Builder:
         if len(words) == 1:
             return (OP_RETURN, None, cmd)
         if len(words) == 2:
-            return (OP_RETURN, _plan(words[1]), cmd)
+            return (OP_RETURN, self.plan(words[1]), cmd)
         return None
 
     def _spec_break(self, cmd):
@@ -867,6 +1132,7 @@ _SPECIALIZERS = {
     "return": _Builder._spec_return,
     "break": _Builder._spec_break,
     "continue": _Builder._spec_continue,
+    "eval": _Builder._spec_eval,
 }
 
 
@@ -934,27 +1200,36 @@ def _dis(code: Code, lines: List[str], depth: int) -> None:
         kind = op[0]
         name = _MNEMONICS[kind]
         prefix = "%s%3d %-10s" % (pad, position, name)
+        plans = ()
         if kind == OP_CALL:
             arity = len(op[2]) if op[2] is not None else len(op[3])
             lines.append("%s %s/%d  {%s}" % (prefix, op[1], arity - 1,
                                              _brief(op[5].source)))
+            plans = op[3] or ()
         elif kind == OP_SET_SLOT:
             lines.append("%s slot%d (%s) <- %s"
                          % (prefix, op[1], op[2], _brief_plan(op[3])))
+            plans = (op[3],)
         elif kind == OP_SET_NAME:
             lines.append("%s %s <- %s" % (
                 prefix, _display(op[1], op[2]), _brief_plan(op[3])))
+            plans = (op[2], op[3])
         elif kind == OP_INCR_SLOT:
             lines.append("%s slot%d (%s) += %s"
                          % (prefix, op[1], op[2], _brief_plan(op[3])))
+            plans = (op[3],)
         elif kind == OP_INCR_NAME:
             lines.append("%s %s += %s" % (
                 prefix, _display(op[1], op[2]), _brief_plan(op[3])))
+            plans = (op[2], op[3])
         elif kind == OP_EXPR:
             lines.append("%s {%s}" % (prefix, _brief(op[2])))
+        elif kind == OP_EVAL:
+            lines.append("%s %s" % (prefix, _brief_plan(op[1])))
+            plans = (op[1],)
         elif kind == OP_IF:
             lines.append(prefix.rstrip())
-            for branch, (ast, text, body) in enumerate(op[1]):
+            for branch, (_fn, text, body) in enumerate(op[1]):
                 lines.append("%s    cond[%d] {%s}"
                              % (pad, branch, _brief(text)))
                 _dis(body, lines, depth + 1)
@@ -976,18 +1251,32 @@ def _dis(code: Code, lines: List[str], depth: int) -> None:
             names = " ".join(name for _ix, name in op[1])
             lines.append("%s {%s} in %s"
                          % (prefix, names, _brief_plan(op[2])))
+            plans = (op[2],)
             _dis(op[3], lines, depth + 1)
         elif kind == OP_RETURN:
             lines.append("%s %s" % (
                 prefix, "" if op[1] is None else _brief_plan(op[1])))
+            plans = (op[1],)
         elif kind == OP_GENERIC:
             lines.append("%s {%s}" % (prefix, _brief(op[1].source)))
         else:
             lines.append(prefix.rstrip())
+        # Inline ``[script]`` words list their nested code under the op.
+        for plan in plans:
+            if type(plan) is tuple and plan[0] in (_P_CMD, _P_EXPR):
+                lines.append("%s    inline [%s]"
+                             % (pad, _brief(plan[1].source)))
+                _dis(plan[1], lines, depth + 1)
 
 
 def _display(name: str, index) -> str:
-    return name if index is None else "%s(%s)" % (name, index)
+    return name if index is None else "%s(%s)" % (name, _brief_index(index))
+
+
+def _brief_index(index) -> str:
+    if type(index) is _Value:
+        return index
+    return _brief_plan(index)
 
 
 def _brief_plan(plan) -> str:
@@ -1001,9 +1290,7 @@ def _brief_plan(plan) -> str:
         index = plan[2]
         if index is None:
             return "$%s" % plan[1]
-        if type(index) is str:
-            return "$%s(%s)" % (plan[1], index)
-        return "$%s(...)" % plan[1]
-    if kind == _P_CMD:
-        return "[%s]" % _brief(plan[1].script)
+        return "$%s(%s)" % (plan[1], _brief_index(index))
+    if kind in (_P_CMD, _P_EXPR):
+        return "[%s]" % _brief(plan[1].source)
     return "<word>"

@@ -2,10 +2,10 @@
 
 import fnmatch
 
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.tcl import (Interp, format_list, glob_match, parse_list,
-                       parse_script, quote_element)
+from repro.tcl import (Interp, TclError, format_list, glob_match,
+                       parse_list, parse_script, quote_element)
 from repro.tcl.parser import Literal
 
 _plain_text = st.text(
@@ -185,3 +185,95 @@ class TestInterpreterInvariants:
         interp = Interp()
         code = interp.eval("catch {%s} msg" % quote_element(chunk))
         assert code in ("0", "1", "2", "3", "4")
+
+
+# ----------------------------------------------------------------------
+# Embedded-Tcl spreadsheets (paper section 6): the bytecode VM, the
+# parse-per-eval reference and the traced VM must agree on every
+# outcome of a recalc.
+# ----------------------------------------------------------------------
+
+_SHEET_OPS = ("+", "-", "*", "%", "<", "==")
+
+
+@st.composite
+def _sheet_formula(draw, cell, inputs):
+    """An expression over earlier cells, inputs and small constants;
+    ``$cell(999)`` (missing) and ``% 0`` make some formulas fail."""
+    def operand():
+        kind = draw(st.sampled_from(("cell", "in", "const")))
+        if kind == "cell":
+            if draw(st.integers(0, 15)) == 0:
+                return "$cell(999)"
+            return "$cell(%d)" % draw(st.integers(-1, cell - 1))
+        if kind == "in":
+            return "$in(%d)" % draw(st.integers(0, inputs - 1))
+        return str(draw(st.integers(0, 9)))
+    text = operand()
+    for _ in range(draw(st.integers(0, 3))):
+        text = "(%s %s %s)" % (text, draw(st.sampled_from(_SHEET_OPS)),
+                               operand())
+    return text
+
+
+@st.composite
+def _spreadsheet(draw):
+    inputs = draw(st.integers(1, 3))
+    cells = draw(st.integers(1, 5))
+    lines = ["set cell(-1) 0"]
+    for k in range(inputs):
+        value = draw(st.integers(0, 20))
+        if draw(st.booleans()):
+            lines.append("set in(%d) %d" % (k, value))
+        else:
+            # ``incr`` leaves a raw integer for the element store.
+            lines.append("set v %d; incr v %d; set in(%d) $v"
+                         % (value, draw(st.integers(-5, 5)), k))
+    for i in range(cells):
+        formula = draw(_sheet_formula(i, inputs))
+        if draw(st.booleans()):
+            lines.append("set formula(%d) {expr {%s}}" % (i, formula))
+        else:
+            lines.append("set formula(%d) {expr [expr {%s}]}"
+                         % (i, formula))
+    update = draw(st.sampled_from((
+        "set cell($i) [eval $formula($i)]",
+        "set cell($i) [eval $formula($i) {;} set _ \\$cell(-1)]",
+        "eval set cell($i) \\[eval \\$formula($i)\\]",
+    )))
+    lines.append(
+        "proc recalc {cells} {\n"
+        "    global cell in formula total\n"
+        "    set total 0\n"
+        "    foreach i $cells {\n"
+        "        %s\n"
+        "        set total [expr {$total + $cell($i)}]\n"
+        "        lappend log [expr {$cell($i) %% 7}] [string length $in(0)]\n"
+        "    }\n"
+        "    list $total $log\n"
+        "}" % update)
+    lines.append("list [recalc {%s}] [array get cell] [array get in]"
+                 % " ".join(str(i) for i in range(cells)))
+    return "\n".join(lines)
+
+
+def _sheet_outcome(interp, script):
+    try:
+        result = ("ok", interp.eval_top(script))
+    except TclError as error:
+        result = ("error", error.message, interp.eval("set errorInfo"))
+    return result + (interp.eval("info cmdcount"),)
+
+
+class TestSpreadsheetEquivalence:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_spreadsheet())
+    def test_vm_reference_and_traced_agree(self, script):
+        traced = Interp()
+        traced.obs.tracer.start()
+        try:
+            outcomes = [_sheet_outcome(interp, script) for interp in
+                        (Interp(), Interp(compile_enabled=False), traced)]
+        finally:
+            traced.obs.tracer.stop()
+        assert outcomes[0] == outcomes[1] == outcomes[2]

@@ -81,6 +81,46 @@ EQUIVALENCE_SCRIPTS = [
     "lappend out $x}\nset out",
     'catch {unknowncmd} msg\nset msg',
     'set x 08\nexpr {$x == "8"}',
+    # Array elements always hold strings, also after ``incr``.
+    "set i 5\nincr i\nset arr(x) $i\nstring length $arr(x)",
+    "proc p {} {\n  set i 5\n  incr i\n  set a(x) $i\n"
+    "  list [string toupper $a(x)] [lindex $a(x) 0] [append a(x) z]"
+    " [array get a]\n}\np",
+    "set i 2\nincr i\nset a($i) $i\nincr a($i) [expr {1/2.0 > 0}]\n"
+    "array get a",
+    # The spreadsheet shapes of paper section 6.
+    "set cell(-1) 0\nset in(0) 4\n"
+    "for {set i 0} {$i < 5} {incr i} {\n"
+    "  set formula($i) \"expr {\\$cell([expr {$i - 1}]) * 3"
+    " + \\$in(0) + $i}\"\n}\n"
+    "proc recalc {first} {\n"
+    "  global cell in formula total\n  set total 0\n"
+    "  foreach i {0 1 2 3 4} {\n"
+    "    if {$i < $first} continue\n"
+    "    set old $cell($i)\n"
+    "    set cell($i) [eval $formula($i)]\n"
+    "    set total [expr {$total + $cell($i) - $old}]\n  }\n"
+    "  list $total [expr {$cell(4) % 7}] $cell(2)\n}\n"
+    "for {set i 0} {$i < 5} {incr i} {set cell($i) 0}\n"
+    "list [recalc 0] [recalc 2] $total",
+    "set a(1) 5\nset i 1\nexpr {$a($i) * 2 + $a(1) - $a([expr {$i}])}",
+    "set x 3\nlist [expr {$x * 2}] [string length [expr {$x * 1.5}]]",
+    "eval set q 7\nlist [eval {incr q}] $q [eval list a b {c d}]",
+    "proc u {} {upvar 1 arr a\nset a(k) [expr {2 * 3}]\nincr a(k)\n"
+    "set a(k)}\nlist [u] [array get arr]",
+    "proc g {} {global s\nset s [expr {$s * 2}]}\nset s 21\ng\nset s",
+    "proc chain {} {upvar 1 x y\nupvar 0 y z\nset z [expr {$z + 1}]}\n"
+    "set x 1\nchain\nset x",
+    "set i 1\nset a($i,x) 2\nset a(z$i) 3\nlsort [array names a]",
+    "set i 0\nset a($i) [set i 5]\narray get a",
+    "set out {}\nforeach i {1 2 3 4} {if {$i == 3} {eval break}\n"
+    "lappend out [expr {-$i}]}\nset out",
+    "proc e {} {eval {return early}\nreturn late}\ne",
+    # NaN compares "equal" under Tcl's three-way compare.
+    "set n [expr {1e308 * 10 - 1e308 * 10}]\nlist"
+    " [expr {(1e308 * 10 - 1e308 * 10) == 0}]"
+    " [expr {(1e308 * 10 - 1e308 * 10) <= 0}]"
+    " [expr {(1e308 * 10 - 1e308 * 10) != 0}]",
 ]
 
 
@@ -129,6 +169,40 @@ def test_cmd_count_matches_tree_walker(traced):
         interp.eval(script)
         counts.append(interp.eval("info cmdcount"))
     assert counts[0] == counts[1] == counts[2]
+
+
+def outcome(interp, script):
+    """Result or (message, errorInfo), plus ``info cmdcount``."""
+    try:
+        result = ("ok", interp.eval_top(script))
+    except TclError as error:
+        result = ("error", error.message, interp.eval("set errorInfo"))
+    return result + (interp.eval("info cmdcount"),)
+
+
+@pytest.mark.parametrize("script", [
+    "set i 0\nset a($i) [expr {1/0}]",
+    "set a($i) [expr {1/0}]",
+    "eval {error x}",
+    "proc f {} {eval {error x}}\nf",
+    "set cell(1) 1\nset cell(999)",
+    "set cell(1) 1\nproc f {} {global cell\nexpr {$cell(999) + 1}}\nf",
+    "set s 1\nset s(x) 2",
+    "set s(x) 1\nset s 2",
+    "set s(x) 1\nexpr {$s + 1}",
+    "set s 1\nexpr {$s(x) + 1}",
+    "set s(x) 1\nincr s",
+    "set x $nope",
+    "return [error boom]",
+    "foreach x [error boom] {}",
+    "proc deep {n} {set x [deep [expr {$n + 1}]]}\ndeep 0",
+    "proc loop {} {upvar 0 a b\nupvar 0 b a\nset a 1}\nloop",
+])
+def test_errors_error_info_and_cmd_count_match(script, traced):
+    outcomes = [outcome(interp, script)
+                for interp in evaluators() + (traced(),)]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0][0] == "error"
 
 
 @pytest.mark.parametrize("script", EQUIVALENCE_SCRIPTS)
@@ -210,6 +284,19 @@ class TestDisassemble:
         listing = interp.eval("info disassemble {set q 5}")
         assert "SET_NAME" in listing
 
+    def test_eval_op_and_inline_command_plans(self, interp):
+        interp.eval("proc recalc {i} {\n  global cell formula\n"
+                    "  set cell($i) [eval $formula($i)]\n"
+                    "  set t [expr {$cell($i) + 1}]\n"
+                    "  puts [lindex $t 0]\n}")
+        listing = interp.eval("info disassemble recalc")
+        assert "SET_NAME   cell($i) <- [eval $formula($i)]" in listing
+        assert "inline [eval $formula($i)]" in listing
+        assert "EVAL       $formula($i)" in listing
+        assert "inline [expr {$cell($i) + 1}]" in listing
+        assert "inline [lindex $t 0]" in listing
+        assert "CALL       lindex/2" in listing
+
     def test_listed_in_bad_option_message(self, interp):
         with pytest.raises(TclError, match="disassemble"):
             interp.eval("info nosuchoption")
@@ -249,6 +336,29 @@ class TestDeopt:
                     "  global watched\n  set watched 1\n  set watched 2\n}")
         interp.eval("writer")
         assert interp.eval("set log") == "w w"
+
+    def test_renaming_eval_or_expr_after_a_first_run(self, interp):
+        interp.eval("set formula(0) {expr {6 * 7}}")
+        interp.eval("proc cell {i} {global formula\n"
+                    "  list [eval $formula($i)] [expr {$i + 1}]}")
+        assert interp.eval("cell 0") == "42 1"
+        interp.eval("rename eval real_eval")
+        interp.eval("proc eval {script} {return evaluated}")
+        assert interp.eval("cell 0") == "evaluated 1"
+        interp.eval("rename expr real_expr")
+        interp.eval("proc expr {args} {return computed}")
+        assert interp.eval("cell 0") == "evaluated computed"
+
+    def test_read_trace_on_a_global_array_fires(self, interp):
+        interp.eval("set cell(0) 5\nset cell(1) 6\nset log {}")
+        interp.eval("proc total {} {global cell\n"
+                    "  expr {$cell(0) + $cell(1)}}")
+        assert interp.eval("total") == "11"
+        interp.eval("proc remember {n1 n2 op} {\n"
+                    "  global log\n  lappend log $n2 $op\n}")
+        interp.eval("trace variable cell r remember")
+        assert interp.eval("total") == "11"
+        assert interp.eval("set log") == "0 r 1 r"
 
     def test_upvar_on_a_bound_formal_errors_like_the_tree(self):
         # A formal with a value cannot be rebound by upvar; the slot
